@@ -61,11 +61,12 @@ def test_end_to_end_candidate_evaluation(benchmark):
     from repro.experiments.common import SMOKE
 
     scenario = load_scenario("counter_reset")
-    engine = CirFixEngine(scenario.problem(), scenario.suggested_config(SMOKE))
+    problem = scenario.problem()
+    config = scenario.suggested_config(SMOKE)
 
     def evaluate_uncached():
-        engine._cache.clear()
-        return engine.evaluate(Patch.empty())
+        # A fresh engine builds a fresh backend with an empty memo.
+        return CirFixEngine(problem, config).evaluate(Patch.empty())
 
     evaluation = benchmark(evaluate_uncached)
     assert evaluation.compiled

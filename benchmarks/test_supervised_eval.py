@@ -3,10 +3,10 @@
 The supervised pool replaces PR 1's blocking ``pool.map`` with per-task
 dispatch under deadlines, crash detection, and retry/quarantine.  That
 supervision must be close to free on healthy workloads: this benchmark
-scores the same fixed 24-candidate counter_reset batch through the
-retained raw-``multiprocessing.Pool`` baseline (``_pool_initializer`` /
-``_pool_evaluate``) and through the supervised ``ProcessPoolBackend`` at
-workers ∈ {2, 4}, and writes the measured overhead to
+scores the same fixed 24-candidate counter_reset batch through a raw
+``multiprocessing.Pool`` baseline (``_pool_initializer`` /
+``_pool_evaluate``, defined below) and through the supervised
+``ProcessPoolBackend`` at workers ∈ {2, 4}, and writes the measured overhead to
 ``BENCH_supervised_eval.json`` at the repo root (goal: ≤5% mean
 overhead; the hard assertion is looser to absorb CI timing noise).
 
@@ -23,20 +23,50 @@ from pathlib import Path
 
 from repro.benchsuite import load_scenario
 from repro.core.backend import (
+    CandidateResult,
     ProcessPoolBackend,
     SerialBackend,
     _mp_context,
-    _pool_evaluate,
-    _pool_initializer,
+    evaluate_design_text,
 )
+from repro.core.config import RepairConfig
 from repro.core.repair import CirFixEngine
 from repro.experiments.common import SMOKE
 from repro.fuzz.faults import plant_eval_chaos
+from repro.hdl import parse
+from repro.instrument.trace import SimulationTrace
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULTS: dict[str, object] = {"scenario": "counter_reset", "cpu_count": os.cpu_count()}
 #: Timed repetitions per backend (median reported; absorbs scheduler noise).
 _ROUNDS = 3
+
+# ----------------------------------------------------------------------
+# Unsupervised baseline: a raw multiprocessing.Pool
+# ----------------------------------------------------------------------
+
+#: Per-worker state installed by :func:`_pool_initializer` — the
+#: pre-supervision ``multiprocessing.Pool`` path, kept here as the
+#: baseline the supervised pool's overhead is measured against.
+_WORKER_STATE: dict[str, object] = {}
+
+
+def _pool_initializer(testbench_text: str, oracle: SimulationTrace, config: RepairConfig) -> None:
+    """Worker-side init: parse the instrumented testbench and keep the oracle."""
+    _WORKER_STATE["testbench"] = parse(testbench_text)
+    _WORKER_STATE["oracle"] = oracle
+    _WORKER_STATE["config"] = config
+
+
+def _pool_evaluate(design_text: str) -> CandidateResult:
+    """Worker-side task: evaluate one candidate against the cached state."""
+    result = evaluate_design_text(
+        design_text,
+        _WORKER_STATE["testbench"],  # type: ignore[arg-type]
+        _WORKER_STATE["oracle"],  # type: ignore[arg-type]
+        _WORKER_STATE["config"],  # type: ignore[arg-type]
+    )
+    return result.without_trace()
 
 
 def _problem_and_config():

@@ -1,10 +1,11 @@
 """Persistent, sharded, content-addressed caching (``repro.cache``).
 
-The in-memory :class:`repro.core.backend.EvalCache` deduplicates repeated
-candidate evaluations *within* one backend's lifetime; this package adds
-the disk tier underneath it, so identical candidates are never simulated
-twice **across jobs, processes, or daemon restarts** (the repair-as-a-
-service workload — see ``docs/service.md``).
+:class:`repro.core.backend.EvalCache`, the evaluation memo each backend
+owns, deduplicates candidate evaluations *within* one backend's
+lifetime; this package is the disk tier underneath its batch path, so
+identical candidates are never simulated twice **across jobs,
+processes, or daemon restarts** (the repair-as-a-service workload — see
+``docs/service.md``).
 
 - :class:`PersistentEvalCache` — a directory-sharded JSON payload store
   keyed by SHA-256 hex digests, with byte-budget LRU eviction and

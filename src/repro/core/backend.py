@@ -1,8 +1,10 @@
 """Candidate-evaluation backends for the repair engine.
 
-The paper reports that >90% of repair wall-clock goes to fitness
-evaluations (candidate simulations), and evaluations within a generation
-are independent.  This module factors the evaluation pipeline
+The CirFix paper reports that fitness evaluation (candidate simulation)
+takes over 90% of repair time; ROADMAP.md measures about 50% in this
+reproduction on the compiled engine, where building candidates costs
+about as much.  Evaluations within a generation are independent.  This
+module factors the evaluation pipeline
 (parse → splice testbench → elaborate → simulate → fitness) out of the
 engine and puts an :class:`EvaluationBackend` interface in front of it:
 
@@ -27,9 +29,10 @@ Two orthogonal fast paths (``docs/simulation.md``):
   splice entirely — the testbench modules are appended uncloned and
   their compiled process templates are shared across every candidate
   scored in the same process (:func:`_testbench_compile_state`);
-- :class:`EvalCache` memoises whole results by candidate source hash,
-  so cross-trial repeats (multi-seed experiments share one backend)
-  replay the recorded result instead of re-simulating.
+- :class:`EvalCache`, the backend's evaluation memo, keeps one record
+  per candidate source hash (plus the traces of the most recently used
+  candidates), so repeats within a trial and across trials that share
+  one backend replay the recorded result instead of re-simulating.
 
 Fault tolerance
 ---------------
@@ -196,7 +199,9 @@ class CandidateResult:
     failure: EvalFailure | None = None
 
     def without_trace(self) -> "CandidateResult":
-        """A copy safe to ship across a process boundary (no trace)."""
+        """This result without its trace (safe to ship across processes)."""
+        if self.trace is None:
+            return self
         return CandidateResult(
             self.fitness,
             self.breakdown,
@@ -536,63 +541,72 @@ def open_eval_store(config: RepairConfig) -> PersistentEvalCache | None:
         return None
 
 
+#: Traces one memo keeps: those of the most recently used candidates.
+TRACE_CAPACITY = 256
+
+
+def _complete(result: CandidateResult) -> bool:
+    """Whether ``result`` is what an in-process evaluation returns.
+
+    In-process evaluations carry their trace; only failed ones (no
+    breakdown) have none on every path.
+    """
+    return result.trace is not None or result.breakdown is None
+
+
 class EvalCache:
-    """LRU cache of :class:`CandidateResult` keyed by candidate source hash.
+    """The backend's evaluation memo, keyed by candidate source hash.
 
-    The engine already deduplicates within one trial (its per-trial
-    fitness memo), so by the time a repeated design text reaches the
-    backend it is a *cross-trial* repeat: multi-seed experiments share
-    one backend, and every trial re-scores the seed design plus the
-    common early mutants.  The cache replays the recorded result —
-    including the telemetry fields (``eval_seconds`` / ``sim_events`` /
-    ``sim_steps``) measured when the candidate was first evaluated — so
-    observers see a byte-identical event sequence whether a result was
-    computed or replayed.
+    One policy (``docs/repair_engine.md``, "The evaluation memo"): a
+    record for every candidate seen, with no capacity; the traces of the
+    ``trace_capacity`` most recently used; and, with a ``store``
+    attached (:func:`open_eval_store`), the persistent tier underneath,
+    keyed by the candidate hash *combined with* ``context``
+    (:func:`eval_context_digest`) so results computed under one
+    testbench/oracle/config never alias another's.
 
-    Quarantined results (``failure is not None``) are never stored: a
-    timeout or crash under one pool's deadline is not a property of the
-    candidate text alone, and a retry must re-evaluate.
+    A lookup returns what its caller's own path would have computed, so
+    warm, crash-recovered and shared-backend runs decide as cold ones do:
 
-    Persistent tier
-    ---------------
+    - :meth:`get` / :meth:`put` are the batch path, memory then disk.
+      Serial backends (``keep_traces``) treat a successful record
+      without its trace as a miss; pool backends strip traces, as their
+      workers do.
+    - :meth:`lookup` / :meth:`remember` are the engine's in-process
+      path: memory only, and a successful record needs its trace.
+    - :meth:`recall` returns an already-scored candidate's record, with
+      its trace while the memo still holds it.
 
-    With a ``store`` attached (:class:`repro.cache.PersistentEvalCache`,
-    opened via :func:`open_eval_store`), a memory miss falls through to
-    disk: entries are keyed by the candidate hash *combined with*
-    ``context`` (:func:`eval_context_digest`), so results computed under
-    one testbench/oracle/config can never alias another's.  Disk hits
-    are promoted into the memory tier and counted in ``store_hits``.
-
-    ``keep_traces`` encodes the backend's trace contract: serial
-    backends (True) demand trace-bearing entries — a trace-less disk
-    entry is a *miss*, because replaying it would change the run's
-    localization re-simulation count — while pool backends (False) strip
-    traces from disk hits, exactly as their own compute path would.
-    Either way, replay is bit-identical to what that backend computes.
+    Hits replay the recorded telemetry fields, so observers see the same
+    events for computed and replayed results.  Quarantined results are
+    never stored: a timeout under one pool's deadline is not a property
+    of the candidate text, and a retry must re-evaluate.
     """
 
     __slots__ = (
-        "capacity", "hits", "misses", "store_hits", "keep_traces",
-        "_entries", "_store", "_context",
+        "trace_capacity", "hits", "misses", "store_hits", "keep_traces",
+        "_records", "_traced", "_store", "_context",
     )
 
     def __init__(
         self,
-        capacity: int,
         store: PersistentEvalCache | None = None,
         context: str = "",
         keep_traces: bool = True,
+        trace_capacity: int = TRACE_CAPACITY,
     ):
-        #: Maximum retained results; 0 disables the cache entirely
-        #: (both tiers).
-        self.capacity = max(0, int(capacity))
+        #: How many records keep their full trace (most recently used).
+        self.trace_capacity = max(0, int(trace_capacity))
+        #: Batch-path counters (:meth:`get`); ``store_hits`` are the hits
+        #: served from the persistent tier (disjoint from ``hits``).
         self.hits = 0
         self.misses = 0
-        #: Hits served from the persistent tier (disjoint from ``hits``).
         self.store_hits = 0
-        #: Whether this cache's consumer wants full traces (see above).
+        #: Whether the batch path returns traces (see above).
         self.keep_traces = keep_traces
-        self._entries: OrderedDict[bytes, CandidateResult] = OrderedDict()
+        self._records: dict[bytes, CandidateResult] = {}
+        #: Keys whose record still carries its trace, oldest use first.
+        self._traced: OrderedDict[bytes, None] = OrderedDict()
         self._store = store
         self._context = context
 
@@ -607,31 +621,58 @@ class EvalCache:
             self._context.encode("ascii") + self.key(design_text)
         ).hexdigest()
 
+    # -- batch path ----------------------------------------------------
+
     def get(self, design_text: str) -> CandidateResult | None:
-        """Return the recorded result for ``design_text``, or None."""
-        if self.capacity == 0:
-            return None
+        """The batch path's recorded result for ``design_text``, or None."""
         key = self.key(design_text)
-        result = self._entries.get(key)
-        if result is not None:
-            self._entries.move_to_end(key)
+        result = self._records.get(key)
+        if result is not None and not self.keep_traces:
             self.hits += 1
+            return result.without_trace()
+        if result is not None and _complete(result):
+            self.hits += 1
+            self._touch(key)
             return result
         result = self._from_store(design_text)
         if result is None:
             self.misses += 1
             return None
         self.store_hits += 1
-        self._insert(key, result)
+        self._admit(key, result)
         return result
 
     def put(self, design_text: str, result: CandidateResult) -> None:
-        """Record a result (quarantined results are never cached)."""
-        if self.capacity == 0 or result.failure is not None:
+        """Record a result the backend computed (memory and disk)."""
+        if result.failure is not None:
             return
-        self._insert(self.key(design_text), result)
+        self._admit(self.key(design_text), result)
         if self._store is not None:
             self._store.put(self.store_key(design_text), encode_eval_payload(result))
+
+    # -- in-process path -----------------------------------------------
+
+    def lookup(self, design_text: str) -> CandidateResult | None:
+        """The in-process path's recorded result (memory only), or None."""
+        key = self.key(design_text)
+        result = self._records.get(key)
+        if result is None or not _complete(result):
+            return None
+        self._touch(key)
+        return result
+
+    def remember(self, design_text: str, result: CandidateResult) -> None:
+        """Record a result computed in the engine's process (memory only)."""
+        if result.failure is None:
+            self._admit(self.key(design_text), result)
+
+    def recall(self, design_text: str) -> CandidateResult | None:
+        """The record of an already-scored candidate, trace if still held."""
+        key = self.key(design_text)
+        result = self._records.get(key)
+        if result is not None:
+            self._touch(key)
+        return result
 
     def info(self) -> dict[str, object]:
         """Hit/miss counters and occupancy (for benchmarks and tests)."""
@@ -639,8 +680,8 @@ class EvalCache:
             "hits": self.hits,
             "misses": self.misses,
             "store_hits": self.store_hits,
-            "size": len(self._entries),
-            "capacity": self.capacity,
+            "size": len(self._records),
+            "traces": len(self._traced),
         }
         if self._store is not None:
             info["store"] = self._store.info()
@@ -648,12 +689,22 @@ class EvalCache:
 
     # -- internals -----------------------------------------------------
 
-    def _insert(self, key: bytes, result: CandidateResult) -> None:
-        """Admit one entry to the memory tier (LRU position: newest)."""
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def _touch(self, key: bytes) -> None:
+        """Mark a record as just used (it keeps its trace longest)."""
+        if key in self._traced:
+            self._traced.move_to_end(key)
+
+    def _admit(self, key: bytes, result: CandidateResult) -> None:
+        """Store one record; beyond capacity the oldest trace is dropped."""
+        self._records[key] = result
+        if result.trace is None:
+            self._traced.pop(key, None)
+            return
+        self._traced[key] = None
+        self._traced.move_to_end(key)
+        while len(self._traced) > self.trace_capacity:
+            oldest, _ = self._traced.popitem(last=False)
+            self._records[oldest] = self._records[oldest].without_trace()
 
     def _from_store(self, design_text: str) -> CandidateResult | None:
         """Look one candidate up in the persistent tier (may be absent)."""
@@ -665,16 +716,12 @@ class EvalCache:
         result = decode_eval_payload(payload)
         if result is None:
             return None
-        if self.keep_traces and result.trace is None and result.breakdown is not None:
-            # A stripped *successful* entry (written by a pool run)
-            # replayed into a serial run would change the localization
-            # re-simulation count; recompute (and upgrade the entry).
-            # Failed evaluations carry no trace on any backend, so they
-            # replay as-is.
-            return None
-        if not self.keep_traces and result.trace is not None:
-            result = result.without_trace()
-        return result
+        if not self.keep_traces:
+            return result.without_trace()
+        # A stripped successful entry (written by a pool run) replayed
+        # into a serial run would change the localization re-simulation
+        # count; recompute (and upgrade the entry).
+        return result if _complete(result) else None
 
 
 # ----------------------------------------------------------------------
@@ -689,8 +736,11 @@ class EvaluationBackend(Protocol):
     is the result for ``texts[i]``.  The engine relies on this (plus its
     own child-index-ordered submission) for seed determinism.  Backends
     are context managers (``with make_backend(...) as backend:``) whose
-    exit calls :meth:`close`.
+    exit calls :meth:`close`.  ``cache`` is the backend's evaluation memo,
+    which the engine's in-process path reads and writes as well.
     """
+
+    cache: EvalCache
 
     def evaluate_batch(self, design_texts: Sequence[str]) -> list[CandidateResult]:
         """Evaluate every design text and return results in input order."""
@@ -717,8 +767,8 @@ class SerialBackend:
     """Evaluates candidates inline in the calling process.
 
     This is the original CirFix behaviour and the default.  Results carry
-    full traces, which the engine feeds into its trace LRU so that parent
-    re-localization rarely needs to re-simulate.
+    full traces, which the memo keeps for the most recently used
+    candidates so that parent re-localization rarely needs to re-simulate.
     """
 
     def __init__(
@@ -740,9 +790,7 @@ class SerialBackend:
             if testbench_text is None:
                 testbench_text = generate(testbench)
             context = eval_context_digest(testbench_text, oracle, config)
-        self.cache = EvalCache(
-            config.eval_cache_size, store=store, context=context, keep_traces=True
-        )
+        self.cache = EvalCache(store=store, context=context, keep_traces=True)
 
     @staticmethod
     def for_problem(problem: "RepairProblem", config: RepairConfig) -> "SerialBackend":
@@ -1026,7 +1074,8 @@ class ProcessPoolBackend:
     Workers parse the instrumented testbench and load the oracle once at
     initialisation; each task ships only a candidate design text and each
     result only ``(fitness, breakdown, compiled, trace summary)``.  The
-    pool persists across generations (and across seeds, when shared via
+    pool starts on the first batch that misses the memo and persists
+    across generations (and across seeds, when shared via
     :func:`repro.core.repair.repair`), so the per-candidate overhead is
     one pickle round-trip, not a process spawn.
 
@@ -1060,25 +1109,16 @@ class ProcessPoolBackend:
         # keep_traces=False: pool results never carry traces, so disk
         # hits are stripped to match what this backend's compute path
         # would have returned.
-        self.cache = EvalCache(
-            config.eval_cache_size, store=store, context=context, keep_traces=False
-        )
+        self.cache = EvalCache(store=store, context=context, keep_traces=False)
         self._ctx = _mp_context()
         self._incidents: list[SupervisionIncident] = []
         #: Task dispatch counter (first attempts only) — the ordinal the
         #: chaos plan keys on; deterministic given the engine's schedule.
         self._dispatch_ordinal = 0
         self._chaos_plan = _active_chaos_plan()
+        #: The supervised workers; None until the first batch starts them.
         self._workers: list[_Worker] | None = None
-        spawned: list[_Worker] = []
-        try:
-            for _ in range(self.workers):
-                spawned.append(_Worker(self._ctx, self._init_args))
-        except BaseException:
-            for worker in spawned:
-                _discard_worker(worker)
-            raise
-        self._workers = spawned
+        self._closed = False
 
     @staticmethod
     def for_problem(
@@ -1107,7 +1147,7 @@ class ProcessPoolBackend:
         that exhausts its retries comes back as a quarantined
         :class:`EvalFailure` result.
         """
-        if self._workers is None:
+        if self._closed:
             raise RuntimeError("ProcessPoolBackend used after close()")
         texts = list(design_texts)
         if not texts:
@@ -1140,12 +1180,31 @@ class ProcessPoolBackend:
 
     # -- supervisor internals ------------------------------------------
 
+    def _start(self) -> list[_Worker]:
+        """The workers, spawned on first use.
+
+        Engines that only score single patches in-process, and backends
+        that only serve memo hits, never start a process.  A host that
+        cannot start workers leaves the list short or empty, and
+        :meth:`_supervise` finishes the batch inline.
+        """
+        if self._workers is None:
+            self._workers = []
+            try:
+                for _ in range(self.workers):
+                    self._workers.append(_Worker(self._ctx, self._init_args))
+            except (OSError, ValueError) as exc:
+                logger.warning(
+                    "could not start evaluation workers (%s); %d running",
+                    exc, len(self._workers),
+                )
+        return self._workers
+
     def _supervise(
         self, pending: deque[_Task], results: list[CandidateResult | None]
     ) -> None:
         """Drive tasks to completion: assign, wait, collect, recover."""
-        workers = self._workers
-        assert workers is not None
+        workers = self._start()
         while pending or any(not w.idle for w in workers):
             if not workers:
                 # Could not respawn a single worker: never wedge — finish
@@ -1310,7 +1369,8 @@ class ProcessPoolBackend:
         killed.  Idempotent.
         """
         workers, self._workers = self._workers, None
-        if workers is None:
+        self._closed = True
+        if not workers:
             return
         for worker in workers:
             try:
@@ -1368,43 +1428,16 @@ def _discard_worker(worker: _Worker) -> None:
         pass
 
 
-# ----------------------------------------------------------------------
-# Unsupervised baseline (benchmarks only)
-# ----------------------------------------------------------------------
-
-#: Per-worker state installed by :func:`_pool_initializer` — the retained
-#: pre-supervision ``multiprocessing.Pool`` path, kept as the baseline
-#: that ``benchmarks/test_supervised_eval.py`` measures overhead against.
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _pool_initializer(testbench_text: str, oracle: SimulationTrace, config: RepairConfig) -> None:
-    """Worker-side init: parse the instrumented testbench and keep the oracle."""
-    _WORKER_STATE["testbench"] = parse(testbench_text)
-    _WORKER_STATE["oracle"] = oracle
-    _WORKER_STATE["config"] = config
-
-
-def _pool_evaluate(design_text: str) -> CandidateResult:
-    """Worker-side task: evaluate one candidate against the cached state."""
-    result = evaluate_design_text(
-        design_text,
-        _WORKER_STATE["testbench"],  # type: ignore[arg-type]
-        _WORKER_STATE["oracle"],  # type: ignore[arg-type]
-        _WORKER_STATE["config"],  # type: ignore[arg-type]
-    )
-    return result.without_trace()
-
-
 def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBackend:
     """Build the evaluation backend selected by ``config``.
 
     ``config.backend`` is ``"serial"``, ``"process"``, or ``"auto"``
-    (pool when ``config.workers > 1``, serial otherwise).  If the host
-    cannot start worker processes — including ``backend = "process"``
-    inside an already-pooled (daemonic) trial or scenario worker, which
-    may not spawn children — the pool silently degrades to a
-    :class:`SerialBackend`: results are identical, only slower.
+    (pool when ``config.workers > 1``, serial otherwise).  Inside an
+    already-pooled (daemonic) trial or scenario worker, which may not
+    spawn children, or when the pool cannot be built, ``"process"``
+    degrades to a :class:`SerialBackend`: results are identical, only
+    slower.  The pool's workers start on its first batch; a host that
+    cannot start them gets the batch evaluated inline.
     """
     choice = config.backend
     workers = max(1, config.workers)

@@ -112,12 +112,6 @@ class RepairConfig:
     #: (the ahead-of-time closure compiler in :mod:`repro.sim.compile`).
     #: Both produce bit-identical results; see ``docs/simulation.md``.
     sim_engine: str = "interp"
-    #: Capacity of the backend-level content-addressed evaluation cache
-    #: (results keyed by sha256 of the candidate source).  Identical
-    #: candidates — re-submitted across trials sharing one backend — are
-    #: never simulated twice; hits replay the recorded result verbatim so
-    #: outcomes and telemetry stay bit-identical.  0 disables the cache.
-    eval_cache_size: int = 256
     #: Root directory of the persistent evaluation-cache tier
     #: (:class:`repro.cache.PersistentEvalCache`).  Empty (the default)
     #: disables the disk tier; with it set, evaluation results are keyed
@@ -198,8 +192,6 @@ class RepairConfig:
                 f"sim_engine must be one of {', '.join(SIM_ENGINE_NAMES)} "
                 f"(got {self.sim_engine!r})"
             )
-        if self.eval_cache_size < 0:
-            fail(f"eval_cache_size must be >= 0 (got {self.eval_cache_size})")
         if self.cache_max_mb < 0:
             fail(f"cache_max_mb must be >= 0 (got {self.cache_max_mb})")
         return self

@@ -19,10 +19,8 @@ at chunk boundaries.  See ``docs/repair_engine.md``.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import time as time_mod
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -46,6 +44,7 @@ from ..obs.events import (
 from ..obs.observer import ObserverSet, RepairObserver
 from .backend import (
     CandidateResult,
+    EvalCache,
     EvaluationBackend,
     evaluate_design_text,
     make_backend,
@@ -63,10 +62,10 @@ logger = logging.getLogger("repro.harness")
 class Evaluation:
     """Result of evaluating one candidate design.
 
-    The per-engine cache keeps fitness/compile status for every candidate
-    but holds full traces only in a small LRU — traces of long-running
-    benchmarks are large, and only tournament-selected parents need theirs
-    again (for re-localization).
+    ``trace`` is None when the backend's memo no longer holds it (it keeps
+    the traces of the most recently used candidates only — traces of
+    long-running benchmarks are large, and only tournament-selected
+    parents need theirs again, for re-localization) and for pool results.
     """
 
     fitness: float
@@ -79,9 +78,12 @@ class Evaluation:
     def is_plausible(self) -> bool:
         return self.fitness >= 1.0
 
-    def light_copy(self) -> "Evaluation":
-        """The cacheable version without the trace payload."""
-        return Evaluation(self.fitness, self.breakdown, None, self.compiled, self.source_text)
+    @staticmethod
+    def of(design_text: str, result: CandidateResult) -> "Evaluation":
+        """The evaluation of ``design_text`` that ``result`` records."""
+        return Evaluation(
+            result.fitness, result.breakdown, result.trace, result.compiled, design_text
+        )
 
 
 @dataclass
@@ -182,8 +184,11 @@ class EngineHarness:
 
     Candidate batches are scored through an
     :class:`~repro.core.backend.EvaluationBackend`; pass one to share a
-    worker pool across trials, or leave it ``None`` to let the engine
-    build (and own) the backend selected by ``config``.
+    worker pool and its memo across trials, or leave it ``None`` to let
+    the engine build (and own) the backend selected by ``config``.
+    Evaluation results live in the backend's memo
+    (:class:`~repro.core.backend.EvalCache`); the trial itself keeps only
+    the set of candidate texts it has scored.
     """
 
     #: Registry name stamped into checkpoint snapshots (subclasses set it).
@@ -224,9 +229,14 @@ class EngineHarness:
         )
         self._backend = backend
         self._owns_backend = False
-        self._cache: dict[str, Evaluation] = {}
-        self._trace_cache: OrderedDict[str, SimulationTrace] = OrderedDict()
-        self._trace_cache_limit = 48
+        #: The backend's evaluation memo; it outlives an owned backend's
+        #: close, so the trial can still look up what it scored.
+        self._memo: EvalCache | None = backend.cache if backend is not None else None
+        #: Candidate texts this trial has scored (``eval_sims`` counts
+        #: them), and the subset with no memo record because the lint gate
+        #: pruned them or the pool quarantined them (they score 0.0).
+        self._seen: set[str] = set()
+        self._unscored: set[str] = set()
         self.simulations = 0
         self.fitness_evals = 0
         #: Deterministic count of unique candidate evaluations.  Unlike
@@ -234,15 +244,13 @@ class EngineHarness:
         #: number depends on the backend's trace availability), so budget
         #: decisions keyed on it are identical under every backend.
         self.eval_sims = 0
-        #: Compile statistics for the fix-localization ablation (§3.6).
-        self.mutants_generated = 0
-        self.mutants_compile_failed = 0
         #: How often each proposal path ran (diagnostics); subclasses
         #: replace this with their own operator vocabulary.
         self.operator_stats: dict[str, int] = {}
         #: Wall-clock seconds spent inside candidate evaluation (codegen +
-        #: parse + simulate + fitness) — the paper reports >90% of repair
-        #: time goes to fitness evaluations.
+        #: parse + simulate + fitness).  The CirFix paper puts fitness
+        #: evaluation above 90% of repair time; ROADMAP.md measures about
+        #: 50% here on the compiled engine.
         self.evaluation_seconds = 0.0
         #: Per-phase wall-clock (repro.obs): ``parse`` is the frontend
         #: sub-span of ``evaluation``; ``localization`` and
@@ -285,38 +293,29 @@ class EngineHarness:
         return patch.apply(self.problem.design)
 
     def evaluate(self, patch: Patch) -> Evaluation:
-        """Codegen → parse → simulate → fitness, with memoisation."""
+        """Codegen → memo → parse → simulate → fitness, in-process.
+
+        Reads and writes only the memory tier of the backend's memo, and
+        never starts a worker pool.
+        """
         self.fitness_evals += 1
         try:
             tree = self.variant_tree(patch)
             design_text = generate(tree)
         except Exception:
             return Evaluation(0.0, None, None, False, "")
-        cached = self._cache.get(design_text)
-        if cached is not None:
-            if cached.trace is None and design_text in self._trace_cache:
-                self._trace_cache.move_to_end(design_text)
-                return Evaluation(
-                    cached.fitness,
-                    cached.breakdown,
-                    self._trace_cache[design_text],
-                    cached.compiled,
-                    cached.source_text,
-                )
-            return cached
+        if design_text in self._seen:
+            return self._recall(design_text)
         if self._gate_rules:
             added = self._gate_added(tree)
             if added:
                 return self._prune(design_text, added)
-        self.eval_sims += 1
-        result = self._score_text(design_text)
-        if self.events:
-            self._emit_candidate(result)
-        evaluation = Evaluation(
-            result.fitness, result.breakdown, result.trace, result.compiled, design_text
-        )
-        self._admit(design_text, evaluation)
-        return evaluation
+        memo = self._ensure_memo()
+        result = memo.lookup(design_text)
+        if result is None:
+            result = self._simulate(design_text)
+            memo.remember(design_text, result)
+        return self._scored(design_text, result)
 
     # ------------------------------------------------------------------
     # Lint gate (docs/lint.md)
@@ -346,10 +345,12 @@ class EngineHarness:
     def _prune(self, design_text: str, added: dict[str, int]) -> Evaluation:
         """Reject one unique candidate before simulation.
 
-        The pruned evaluation (fitness 0, no trace) is cached like any
-        other, so duplicates of a pruned design are ordinary cache hits;
-        ``eval_sims`` never ticks — pruning is free simulation budget.
+        The trial remembers the pruned text, so its duplicates score the
+        same 0.0 without another lint pass; ``eval_sims`` never ticks —
+        pruning is free simulation budget.
         """
+        self._seen.add(design_text)
+        self._unscored.add(design_text)
         self.candidates_pruned += 1
         for code in added:
             self.pruned_by_rule[code] = self.pruned_by_rule.get(code, 0) + 1
@@ -359,45 +360,68 @@ class EngineHarness:
                     new_violations=dict(added), rules=self._gate_rules_spec
                 )
             )
-        evaluation = Evaluation(0.0, None, None, False, design_text)
-        self._admit(design_text, evaluation)
-        return evaluation
+        return Evaluation(0.0, None, None, False, design_text)
 
-    def _admit(self, design_text: str, evaluation: Evaluation) -> None:
-        """Record an evaluation in the fitness cache and the trace LRU."""
-        self._cache[design_text] = evaluation.light_copy()
-        if evaluation.trace is not None:
-            self._trace_cache[design_text] = evaluation.trace
-            while len(self._trace_cache) > self._trace_cache_limit:
-                self._trace_cache.popitem(last=False)
+    # ------------------------------------------------------------------
+    # The trial's view of the memo
+    # ------------------------------------------------------------------
 
-    def _score_text(self, design_text: str) -> CandidateResult:
-        """Run the evaluation pipeline in-process, updating counters."""
-        started = time_mod.monotonic()
+    def _ensure_memo(self) -> EvalCache:
+        """The backend's memo (building the backend, never its workers)."""
+        if self._memo is None:
+            self._ensure_backend()
+        assert self._memo is not None
+        return self._memo
+
+    def _recall(self, design_text: str) -> Evaluation:
+        """A candidate this trial already scored (no counters tick)."""
+        if design_text in self._unscored:
+            return Evaluation(0.0, None, None, False, design_text)
+        result = self._ensure_memo().recall(design_text)
+        assert result is not None, "scored candidates keep a memo record"
+        return Evaluation.of(design_text, result)
+
+    def _scored(self, design_text: str, result: CandidateResult) -> Evaluation:
+        """Account for one unique candidate, computed or replayed."""
+        self._seen.add(design_text)
         self.simulations += 1
-        self.mutants_generated += 1
+        self.eval_sims += 1
+        if result.failure is not None:
+            # Quarantined by the supervisor: never stored in the memo.
+            self._unscored.add(design_text)
+            self.candidates_quarantined += 1
+            self.quarantined_by_kind[result.failure.kind] = (
+                self.quarantined_by_kind.get(result.failure.kind, 0) + 1
+            )
+        self.phase_seconds["parse"] += result.parse_seconds
+        if self.events:
+            self._emit_candidate(result)
+        return Evaluation.of(design_text, result)
+
+    def _simulate(self, design_text: str) -> CandidateResult:
+        """Run the evaluation pipeline in-process (evaluation time)."""
+        started = time_mod.monotonic()
         result = evaluate_design_text(
             design_text, self.problem.testbench, self.problem.oracle, self.config
         )
-        if not result.compiled:
-            self.mutants_compile_failed += 1
         elapsed = time_mod.monotonic() - started
         self.evaluation_seconds += elapsed
         self.phase_seconds["evaluation"] += elapsed
-        self.phase_seconds["parse"] += result.parse_seconds
         return result
 
-    def _evaluate_source(self, design_text: str) -> Evaluation:
-        """In-process evaluation without telemetry emission.
+    def _refresh(self, design_text: str) -> Evaluation:
+        """Re-simulate a scored candidate whose trace the memo dropped.
 
-        Used for backend-dependent re-simulations (trace refresh in
-        :meth:`fault_localization`): those must stay invisible to
-        observers so the event sequence is identical on every backend.
+        The refresh counts in ``simulations`` but emits nothing: how often
+        it happens depends on the backend's trace availability, so it must
+        stay invisible to observers for the event sequence to be
+        identical on every backend.
         """
-        result = self._score_text(design_text)
-        return Evaluation(
-            result.fitness, result.breakdown, result.trace, result.compiled, design_text
-        )
+        result = self._simulate(design_text)
+        self.simulations += 1
+        self.phase_seconds["parse"] += result.parse_seconds
+        self._ensure_memo().remember(design_text, result)
+        return Evaluation.of(design_text, result)
 
     def _emit_candidate(self, result: CandidateResult) -> None:
         """Emit the CandidateEvaluated event for one unique evaluation."""
@@ -420,6 +444,7 @@ class EngineHarness:
         if self._backend is None:
             self._backend = make_backend(self.problem, self.config)
             self._owns_backend = True
+            self._memo = self._backend.cache
         return self._backend
 
     def _release_backend(self) -> None:
@@ -432,8 +457,8 @@ class EngineHarness:
     def _evaluate_generation(self, patches, out_of_budget) -> list[Evaluation | None]:
         """Score a whole generation's patches through the backend.
 
-        Returns evaluations aligned with ``patches``.  Unique uncached
-        design texts are submitted in first-occurrence (child-index) order
+        Returns evaluations aligned with ``patches``.  Design texts new to
+        this trial are submitted in first-occurrence (child-index) order
         in near-equal chunks sized by :func:`adaptive_chunk_size` (with
         ``config.eval_chunk_size`` as the granularity floor); between chunks
         the engine checks the budget and whether a plausible candidate has
@@ -454,9 +479,8 @@ class EngineHarness:
             except Exception:
                 results[i] = Evaluation(0.0, None, None, False, "")
                 continue
-            cached = self._cache.get(text)
-            if cached is not None:
-                results[i] = cached
+            if text in self._seen:
+                results[i] = self._recall(text)
                 continue
             if self._gate_rules:
                 added = self._gate_added(tree)
@@ -497,26 +521,7 @@ class EngineHarness:
                 )
             self._note_incidents(chunk_id, backend)
             for text, result in zip(chunk, chunk_results):
-                self.simulations += 1
-                self.eval_sims += 1
-                self.mutants_generated += 1
-                if result.failure is not None:
-                    # Quarantined by the supervisor — not a compile
-                    # verdict, so keep it out of the compile-failure
-                    # ablation statistics.
-                    self.candidates_quarantined += 1
-                    self.quarantined_by_kind[result.failure.kind] = (
-                        self.quarantined_by_kind.get(result.failure.kind, 0) + 1
-                    )
-                elif not result.compiled:
-                    self.mutants_compile_failed += 1
-                self.phase_seconds["parse"] += result.parse_seconds
-                if self.events:
-                    self._emit_candidate(result)
-                evaluation = Evaluation(
-                    result.fitness, result.breakdown, result.trace, result.compiled, text
-                )
-                self._admit(text, evaluation)
+                evaluation = self._scored(text, result)
                 for index in indices_for_text[text]:
                     results[index] = evaluation
                 if evaluation.fitness >= 1.0:
@@ -583,11 +588,9 @@ class EngineHarness:
 
     def _fault_localization(self, patch: Patch, variant: ast.Source) -> set[int]:
         evaluation = self.evaluate(patch)
-        if evaluation.compiled and evaluation.trace is None:
-            # Trace evicted from the LRU: re-simulate this parent once.
-            evaluation = self._evaluate_source(evaluation.source_text)
-            if evaluation.trace is not None:
-                self._trace_cache[evaluation.source_text] = evaluation.trace
+        if evaluation.breakdown is not None and evaluation.trace is None:
+            # A pool result, or a trace the memo dropped: re-simulate.
+            evaluation = self._refresh(evaluation.source_text)
         if evaluation.trace is None or not evaluation.compiled:
             return all_statement_ids(variant)
         mismatch = output_mismatch(self.problem.oracle, evaluation.trace)

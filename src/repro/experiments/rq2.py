@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
-
 from .common import ScenarioResult, format_table
 
 
@@ -53,13 +51,19 @@ def _summarise(results: list[ScenarioResult], category: int) -> CategorySummary:
 
 
 def analyze_rq2(results: list[ScenarioResult]) -> Rq2Result:
-    """Aggregate Table 3 results by category and run the Mann-Whitney U test."""
+    """Aggregate Table 3 results by category and run the Mann-Whitney U test.
+
+    The test needs scipy (the optional ``stats`` extra), imported only
+    when both categories have repair times to compare.
+    """
     cat1 = _summarise(results, 1)
     cat2 = _summarise(results, 2)
     times1 = [r.repair_seconds for r in results if r.category == 1 and r.repair_seconds]
     times2 = [r.repair_seconds for r in results if r.category == 2 and r.repair_seconds]
     u_stat = p_value = None
     if times1 and times2:
+        from scipy import stats
+
         u_stat, p_value = stats.mannwhitneyu(times1, times2, alternative="two-sided")
         u_stat, p_value = float(u_stat), float(p_value)
     return Rq2Result(cat1, cat2, u_stat, p_value)

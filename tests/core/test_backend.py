@@ -300,8 +300,9 @@ class TestBackendLifecycle:
 
     def test_pool_context_manager_reaps_workers(self, problem):
         with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as pool:
-            processes = [worker.process for worker in pool._workers]
             assert pool.evaluate_batch([GOLDEN_FF])[0].compiled
+            processes = [worker.process for worker in pool._workers]
+        assert len(processes) == 2
         for process in processes:
             assert not process.is_alive()
 

@@ -108,7 +108,6 @@ class TestScheduleKnobsExcluded:
             {"max_fitness_evals": 5},
             {"eval_chunk_size": 3},
             {"workers": 8},
-            {"eval_cache_size": 16},
             {"minimize_budget": 1},
         ],
     )
@@ -180,7 +179,7 @@ class TestPayloadCodec:
 
 
 class TestTieredEvalCache:
-    """The in-memory EvalCache over a persistent store."""
+    """The memo's memory tier over a persistent store."""
 
     def _success(self, with_trace: bool):
         from repro.core.backend import CandidateResult, TraceSummary
@@ -202,10 +201,10 @@ class TestTieredEvalCache:
 
     def test_disk_hit_after_memory_restart(self, tmp_path):
         store = self._store(tmp_path)
-        warm = EvalCache(8, store=store, context="ctx", keep_traces=True)
+        warm = EvalCache(store=store, context="ctx", keep_traces=True)
         warm.put("module a; endmodule", self._success(with_trace=True))
         # Same store, fresh memory tier: must hit the disk.
-        cold = EvalCache(8, store=store, context="ctx", keep_traces=True)
+        cold = EvalCache(store=store, context="ctx", keep_traces=True)
         result = cold.get("module a; endmodule")
         assert result is not None
         assert cold.info()["store_hits"] == 1
@@ -213,25 +212,25 @@ class TestTieredEvalCache:
 
     def test_context_isolates_entries(self, tmp_path):
         store = self._store(tmp_path)
-        one = EvalCache(8, store=store, context="ctx-one", keep_traces=True)
+        one = EvalCache(store=store, context="ctx-one", keep_traces=True)
         one.put("module a; endmodule", self._success(with_trace=True))
-        other = EvalCache(8, store=store, context="ctx-two", keep_traces=True)
+        other = EvalCache(store=store, context="ctx-two", keep_traces=True)
         assert other.get("module a; endmodule") is None
 
     def test_serial_tier_rejects_stripped_success(self, tmp_path):
         """A pool-written (traceless, successful) entry must be a serial
         miss — the serial backend's contract includes the trace."""
         store = self._store(tmp_path)
-        pool = EvalCache(8, store=store, context="ctx", keep_traces=False)
+        pool = EvalCache(store=store, context="ctx", keep_traces=False)
         pool.put("module a; endmodule", self._success(with_trace=False))
-        serial = EvalCache(8, store=store, context="ctx", keep_traces=True)
+        serial = EvalCache(store=store, context="ctx", keep_traces=True)
         assert serial.get("module a; endmodule") is None
 
     def test_pool_tier_strips_serial_traces(self, tmp_path):
         store = self._store(tmp_path)
-        serial = EvalCache(8, store=store, context="ctx", keep_traces=True)
+        serial = EvalCache(store=store, context="ctx", keep_traces=True)
         serial.put("module a; endmodule", self._success(with_trace=True))
-        pool = EvalCache(8, store=store, context="ctx", keep_traces=False)
+        pool = EvalCache(store=store, context="ctx", keep_traces=False)
         result = pool.get("module a; endmodule")
         assert result is not None
         assert result.trace is None
@@ -241,9 +240,9 @@ class TestTieredEvalCache:
 
         store = self._store(tmp_path)
         failed = CandidateResult(0.0, None, False, None, None)
-        pool = EvalCache(8, store=store, context="ctx", keep_traces=False)
+        pool = EvalCache(store=store, context="ctx", keep_traces=False)
         pool.put("module bad; endmodule", failed)
-        serial = EvalCache(8, store=store, context="ctx", keep_traces=True)
+        serial = EvalCache(store=store, context="ctx", keep_traces=True)
         replay = serial.get("module bad; endmodule")
         assert replay is not None
         assert replay.breakdown is None

@@ -1,7 +1,7 @@
 """The compiled-simulation fast path seen from the repair engine.
 
-Covers the ``sim_engine`` config switch, the backend-level
-:class:`~repro.core.backend.EvalCache`, the adaptive chunk sizing, and
+Covers the ``sim_engine`` config switch, the backend's evaluation memo
+(:class:`~repro.core.backend.EvalCache`), the adaptive chunk sizing, and
 the headline guarantee: a fixed-seed repair under ``sim_engine =
 "compiled"`` produces a bit-identical outcome to the interpreter.
 """
@@ -25,13 +25,6 @@ class TestConfig:
     def test_sim_engine_rejects_unknown(self):
         with pytest.raises(ConfigError, match="sim_engine"):
             RepairConfig(sim_engine="jit").validate()
-
-    def test_eval_cache_size_rejects_negative(self):
-        with pytest.raises(ConfigError, match="eval_cache_size"):
-            RepairConfig(eval_cache_size=-1).validate()
-
-    def test_eval_cache_size_zero_is_valid(self):
-        assert RepairConfig(eval_cache_size=0).validate().eval_cache_size == 0
 
 
 class TestAdaptiveChunkSize:
@@ -66,58 +59,65 @@ class TestAdaptiveChunkSize:
 
 
 class TestEvalCache:
-    def _result(self, fitness=0.5):
+    def _result(self, fitness=0.5, traced=True):
         from repro.core.backend import CandidateResult
+        from repro.core.fitness import FitnessBreakdown
+        from repro.instrument.trace import SimulationTrace
 
-        return CandidateResult(fitness, None, True, None, None)
+        trace = SimulationTrace.from_csv("time,q\n0,1\n") if traced else None
+        breakdown = FitnessBreakdown(fitness, 1.0, 2.0, 1, 1, 0)
+        return CandidateResult(fitness, breakdown, True, trace, None)
 
     def test_hit_replays_the_stored_result(self):
-        cache = EvalCache(4)
+        cache = EvalCache()
         result = self._result()
         cache.put("module a; endmodule", result)
         assert cache.get("module a; endmodule") is result
         assert cache.info() == {
-            "hits": 1, "misses": 0, "store_hits": 0, "size": 1, "capacity": 4,
+            "hits": 1, "misses": 0, "store_hits": 0, "size": 1, "traces": 1,
         }
 
     def test_miss_counts(self):
-        cache = EvalCache(4)
+        cache = EvalCache()
         assert cache.get("nope") is None
         assert cache.info()["misses"] == 1
 
     def test_zero_capacity_disables(self):
-        cache = EvalCache(0)
+        # A zero trace capacity keeps every record but no trace, so the
+        # serial batch path (which needs the trace) never hits.
+        cache = EvalCache(trace_capacity=0)
         cache.put("text", self._result())
         assert cache.get("text") is None
+        assert cache.recall("text").trace is None
         assert cache.info() == {
-            "hits": 0, "misses": 0, "store_hits": 0, "size": 0, "capacity": 0,
+            "hits": 0, "misses": 1, "store_hits": 0, "size": 1, "traces": 0,
         }
 
     def test_lru_eviction(self):
-        cache = EvalCache(2)
+        cache = EvalCache(trace_capacity=2)
         cache.put("a", self._result(0.1))
         cache.put("b", self._result(0.2))
         assert cache.get("a") is not None  # refresh a
-        cache.put("c", self._result(0.3))  # evicts b
+        cache.put("c", self._result(0.3))  # drops b's trace
         assert cache.get("b") is None
+        assert cache.recall("b").fitness == 0.2  # the record stays
         assert cache.get("a") is not None
         assert cache.get("c") is not None
 
     def test_quarantined_results_are_never_cached(self):
         from repro.core.backend import _quarantine_result
 
-        cache = EvalCache(4)
+        cache = EvalCache()
         cache.put("text", _quarantine_result("timeout", 3))
         assert cache.get("text") is None
+        assert cache.recall("text") is None
 
 
 class TestSerialBackendCache:
-    def _backend(self, engine="interp", cache_size=256):
+    def _backend(self, engine="interp"):
         scenario = load_scenario("counter_reset")
         config = dataclasses.replace(
-            scenario.suggested_config(SMOKE),
-            sim_engine=engine,
-            eval_cache_size=cache_size,
+            scenario.suggested_config(SMOKE), sim_engine=engine
         )
         return SerialBackend.for_problem(scenario.problem(), config)
 
@@ -131,16 +131,6 @@ class TestSerialBackendCache:
         assert backend.cache.info()["hits"] == 1
         # The replayed result is the recorded one — telemetry included.
         assert second[0] is first[0]
-
-    def test_cache_disabled_reevaluates(self):
-        backend = self._backend(cache_size=0)
-        scenario = load_scenario("counter_reset")
-        texts = [scenario.faulty_design_text]
-        first = backend.evaluate_batch(texts)
-        second = backend.evaluate_batch(texts)
-        assert backend.cache.info()["hits"] == 0
-        assert second[0] is not first[0]
-        assert second[0].fitness == first[0].fitness
 
 
 def _outcome_key(outcome):

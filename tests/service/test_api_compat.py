@@ -1,10 +1,10 @@
-"""Facade compatibility: positional deprecations, engine registry."""
+"""Facade compatibility: keyword-only wrappers, engine registry."""
 
 import warnings
 
 import pytest
 
-from repro.api import materialize_request, repair_scenario, repair_verilog, run_request
+from repro.api import materialize_request, repair_scenario, run_request
 from repro.core.config import RepairConfig
 from repro.core.engines import engine_names, get_engine, register_engine
 from repro.service.jobs import RepairRequest
@@ -32,31 +32,16 @@ endmodule
 
 
 class TestPositionalDeprecation:
-    def test_positional_config_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="repair_scenario"):
-            outcome = repair_scenario("counter_reset", TINY, (0,))
-        assert outcome.seed == 0
+    """The positional shim is gone: keywords only, positionals fail."""
 
     def test_keyword_call_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             repair_scenario("counter_reset", config=TINY, seeds=(0,))
 
-    def test_positional_extras_respect_keyword_arguments(self):
-        """Old-style positional config combined with keyword seeds."""
-        with pytest.warns(DeprecationWarning):
-            outcome = repair_scenario("counter_reset", TINY, seeds=(1,))
-        assert outcome.seed == 1
-
     def test_too_many_positionals_raise(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                repair_scenario("counter_reset", TINY, (0,), None, "extra")
-
-    def test_repair_verilog_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="repair_verilog"):
-            outcome = repair_verilog(DESIGN, BENCH, DESIGN, TINY, (0,))
-        assert outcome is not None
+        with pytest.raises(TypeError):
+            repair_scenario("counter_reset", TINY, (0,), None, "extra")
 
 
 class TestEngineRegistry:

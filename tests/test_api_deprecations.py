@@ -1,14 +1,11 @@
-"""Deprecated positional-argument shims on the repro.api wrappers.
+"""The end of the positional-argument deprecation on the repro.api wrappers.
 
-The facade's ``repair_scenario`` / ``repair_verilog`` historically took
-``config, seeds, observers`` positionally; they are keyword-only now,
-with a shim that overlays positional extras in the old order.  The shim
-contract under test:
+The facade's ``repair_scenario`` / ``repair_verilog`` once took
+``config, seeds, observers`` positionally, through a shim that warned.
+The shim is gone; the contract under test:
 
-- a positional call emits **exactly one** DeprecationWarning (naming the
-  function), and the values still take effect;
 - the keyword path is silent — no warning, ever;
-- more than three positional extras is a TypeError, not a silent drop.
+- any positional extra (``config`` included) is a TypeError.
 """
 
 import warnings
@@ -66,16 +63,6 @@ def _deprecations(caught) -> list[warnings.WarningMessage]:
 
 
 class TestRepairVerilogShim:
-    def test_positional_config_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcome = repair_verilog(DESIGN, TESTBENCH, DESIGN, FAST, (0,))
-        deprecations = _deprecations(caught)
-        assert len(deprecations) == 1
-        assert "repair_verilog" in str(deprecations[0].message)
-        assert "keyword" in str(deprecations[0].message)
-        assert outcome.plausible  # positional config/seeds took effect
-
     def test_keyword_path_is_silent(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -85,37 +72,15 @@ class TestRepairVerilogShim:
         assert _deprecations(caught) == []
         assert outcome.plausible
 
-    def test_positional_and_keyword_calls_agree(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            positional = repair_verilog(DESIGN, TESTBENCH, DESIGN, FAST, (0,))
-        keyword = repair_verilog(DESIGN, TESTBENCH, DESIGN, config=FAST, seeds=(0,))
-        assert positional.fitness == keyword.fitness
-        assert positional.seed == keyword.seed
-        assert positional.eval_sims == keyword.eval_sims
-
-    def test_positional_seeds_take_effect(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            outcome = repair_verilog(DESIGN, TESTBENCH, DESIGN, FAST, (7,))
-        assert outcome.seed == 7
-
     def test_too_many_positional_extras_is_typeerror(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="at most 3 positional"):
-                repair_verilog(DESIGN, TESTBENCH, DESIGN, FAST, (0,), None, "extra")
+        with pytest.raises(TypeError):
+            repair_verilog(DESIGN, TESTBENCH, DESIGN, FAST, (0,), None, "extra")
 
 
 class TestRepairScenarioShim:
-    def test_positional_config_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcome = repair_scenario(_problem(), FAST, (0,))
-        deprecations = _deprecations(caught)
-        assert len(deprecations) == 1
-        assert "repair_scenario" in str(deprecations[0].message)
-        assert outcome.plausible
+    def test_positional_config_is_typeerror(self):
+        with pytest.raises(TypeError):
+            repair_scenario(_problem(), FAST)
 
     def test_keyword_path_is_silent(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -123,12 +88,3 @@ class TestRepairScenarioShim:
             outcome = repair_scenario(_problem(), config=FAST, seeds=(0,))
         assert _deprecations(caught) == []
         assert outcome.plausible
-
-    def test_warning_points_at_the_caller(self):
-        # stacklevel must attribute the warning to this file, not api.py.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repair_scenario(_problem(), FAST, (0,))
-        deprecations = _deprecations(caught)
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
