@@ -26,7 +26,7 @@ from repro.core.backend import (
     CandidateResult,
     ProcessPoolBackend,
     SerialBackend,
-    _mp_context,
+    mp_context,
     evaluate_design_text,
 )
 from repro.core.config import RepairConfig
@@ -85,7 +85,7 @@ def _candidate_batch(problem, size=24):
 
 def _time_raw_pool(problem, config, texts, workers):
     """Median batch seconds through the unsupervised Pool.map baseline."""
-    ctx = _mp_context()
+    ctx = mp_context()
     with ctx.Pool(
         processes=workers,
         initializer=_pool_initializer,

@@ -31,8 +31,13 @@ from .patch import Edit, Patch
 from .repair import CirFixEngine, Evaluation, RepairOutcome, RepairProblem, repair
 from .selection import elite, tournament_select
 from .serialize import outcome_to_json, patch_from_json, patch_to_json
-from .templates_ext import EXTENDED_TEMPLATES, applicable_extended, apply_extended
-from .templates import ALL_TEMPLATES, TEMPLATES_BY_CATEGORY, applicable_templates, apply_template
+from .templates import (
+    ALL_TEMPLATES,
+    EXTENDED_TEMPLATES,
+    TEMPLATES_BY_CATEGORY,
+    applicable_templates,
+    apply_template,
+)
 
 __all__ = [
     "RepairConfig",
@@ -69,8 +74,6 @@ __all__ = [
     "elite",
     "ALL_TEMPLATES",
     "EXTENDED_TEMPLATES",
-    "applicable_extended",
-    "apply_extended",
     "patch_to_json",
     "patch_from_json",
     "outcome_to_json",

@@ -1062,7 +1062,7 @@ class _Worker:
         return self.task is None
 
 
-def _mp_context() -> multiprocessing.context.BaseContext:
+def mp_context() -> multiprocessing.context.BaseContext:
     """The preferred multiprocessing context (fork where available)."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -1110,7 +1110,7 @@ class ProcessPoolBackend:
         # hits are stripped to match what this backend's compute path
         # would have returned.
         self.cache = EvalCache(store=store, context=context, keep_traces=False)
-        self._ctx = _mp_context()
+        self._ctx = mp_context()
         self._incidents: list[SupervisionIncident] = []
         #: Task dispatch counter (first attempts only) — the ordinal the
         #: chaos plan keys on; deterministic given the engine's schedule.

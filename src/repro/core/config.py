@@ -66,7 +66,7 @@ class RepairConfig:
     max_sim_steps: int = 2_000_000
     #: Budget for the minimization step's plausibility checks.
     minimize_budget: int = 256
-    #: Enable the extension template set (repro.core.templates_ext) —
+    #: Enable the extension templates of repro.core.templates —
     #: the paper's "adding more repair templates" future-work direction.
     #: Off by default so the reproduction matches the paper's template set.
     extended_templates: bool = False

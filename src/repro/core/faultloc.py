@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hdl import ast
-from ..hdl.dataflow import condition_expr, expr_names, lhs_names
+from ..hdl.dataflow import ASSIGNMENTS, lhs_names
 
 
 @dataclass
@@ -42,21 +42,7 @@ class FaultLocalization:
         return len(self.nodes)
 
 
-_ASSIGNMENT_TYPES = (ast.BlockingAssign, ast.NonBlockingAssign, ast.ContinuousAssign)
 _CONDITIONAL_TYPES = (ast.If, ast.Case, ast.While, ast.Ternary, ast.For)
-
-
-# The name-level queries are shared with repro.lint and live in
-# repro.hdl.dataflow; the aliases keep this module's call sites (and any
-# external users of the historical private names) unchanged.
-def _lhs_names(node: ast.Node) -> set[str]:
-    """Identifier names written by an assignment's LHS (through selects
-    and concatenations)."""
-    return lhs_names(node.lhs)  # type: ignore[attr-defined]
-
-
-_condition_expr = condition_expr
-_expr_names = expr_names
 
 
 def _implicated(node: ast.Node, mismatch: set[str]) -> bool:
@@ -67,8 +53,8 @@ def _implicated(node: ast.Node, mismatch: set[str]) -> bool:
     conditional statement is implicated when *any* identifier in the whole
     statement (guard or body) is in the mismatch set.
     """
-    if isinstance(node, _ASSIGNMENT_TYPES):
-        if _lhs_names(node) & mismatch:  # Impl-Data
+    if isinstance(node, ASSIGNMENTS):
+        if lhs_names(node.lhs) & mismatch:  # Impl-Data
             return True
     if isinstance(node, _CONDITIONAL_TYPES):
         for sub in node.walk():

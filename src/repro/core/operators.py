@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 from ..hdl import ast
+from ..hdl.dataflow import is_assignment_lhs
 from . import fixloc
 from .patch import Edit, Patch
-from .templates import applicable_templates
+from .templates import applicable_templates, extra_candidates
 
 
 def mutate(
@@ -85,7 +86,7 @@ def _mutate_replace(
     for _ in range(8):
         target = rng.choice(fault_nodes)
         sources = fixloc.replacement_sources(variant_tree, target)
-        if _is_lhs_position(variant_tree, target):
+        if is_assignment_lhs(variant_tree, target):
             sources = [s for s in sources if fixloc.is_lvalue_expr(s)]
         if not sources:
             continue
@@ -93,17 +94,6 @@ def _mutate_replace(
         assert target.node_id is not None
         return parent.extended(Edit("replace", target.node_id, source.clone()))
     return parent
-
-
-def _is_lhs_position(tree: ast.Source, node: ast.Node) -> bool:
-    """Is ``node`` the direct LHS of some assignment?"""
-    for candidate in tree.walk():
-        if isinstance(
-            candidate, (ast.BlockingAssign, ast.NonBlockingAssign, ast.ContinuousAssign)
-        ):
-            if candidate.lhs is node:
-                return True
-    return False
 
 
 def apply_fix_pattern(
@@ -115,17 +105,15 @@ def apply_fix_pattern(
 ) -> Patch:
     """Apply a random repair template to a random applicable fault node
     (Algorithm 1 line 8).  With ``extended``, the future-work template set
-    from :mod:`repro.core.templates_ext` joins the candidate pool."""
+    in :mod:`repro.core.templates` joins the candidate pool."""
     candidates: list[tuple[int, str]] = []
     for node in _fault_nodes(variant_tree, fault_ids):
         for name in applicable_templates(node):
             assert node.node_id is not None
             candidates.append((node.node_id, name))
     if extended:
-        from .templates_ext import applicable_extended, extra_candidates
-
         for node in _fault_nodes(variant_tree, fault_ids):
-            for name in applicable_extended(node):
+            for name in applicable_templates(node, extension=True):
                 assert node.node_id is not None
                 candidates.append((node.node_id, name))
         candidates.extend(extra_candidates(variant_tree, fault_ids))

@@ -387,12 +387,12 @@ def _repair_parallel_trials(
     earlier seed produces a plausible repair.  Returns ``None`` when the
     host cannot start worker processes (caller falls back to serial).
     """
-    from .backend import _mp_context  # single source of truth for the context
+    from .backend import mp_context  # single source of truth for the context
 
     trial_config = config.scaled(workers=1)
     payloads = [_trial_payload(problem, trial_config, seed) for seed in seeds]
     try:
-        pool = _mp_context().Pool(processes=min(workers, len(seeds)))
+        pool = mp_context().Pool(processes=min(workers, len(seeds)))
     except (OSError, ValueError, ImportError) as exc:
         logger.warning("trial pool unavailable (%s); running trials serially", exc)
         return None

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..benchsuite import Scenario, load_scenario
-from ..core.backend import EvaluationBackend, _mp_context, make_backend
+from ..core.backend import EvaluationBackend, make_backend, mp_context
 from ..core.config import RepairConfig
 from ..core.engines import DEFAULT_ENGINE, get_engine
 from ..core.repair import CirFixEngine, RepairOutcome
@@ -246,7 +246,7 @@ def map_parallel(
     if workers <= 1 or len(items) <= 1:
         return [worker(p) for p in items]
     try:
-        pool = _mp_context().Pool(min(workers, len(items)))
+        pool = mp_context().Pool(min(workers, len(items)))
     except (OSError, ValueError, ImportError) as exc:  # pragma: no cover
         logger.warning("worker pool unavailable (%s); running sweep serially", exc)
         return [worker(p) for p in items]

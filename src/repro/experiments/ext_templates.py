@@ -5,8 +5,8 @@ The paper's canonical unrepairable defect is rs_regsize: an expert shrank
 [CirFix's] operators or repair templates are capable of increasing the
 number of bits allocated".  The paper suggests "adding more repair
 templates can help in such cases" — this experiment runs that suggestion:
-same engine, same budgets, template set ± the extensions of
-:mod:`repro.core.templates_ext`, on defects from the unsupported classes.
+same engine, same budgets, template set ± the extension templates of
+:mod:`repro.core.templates`, on defects from the unsupported classes.
 """
 
 from __future__ import annotations

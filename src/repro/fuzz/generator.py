@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..hdl import ast, generate
-from ..hdl.parser import _parse_number_literal
+from ..hdl.parser import parse_number_literal
 
 
 class DecisionTrace:
@@ -88,7 +88,7 @@ SUB_NAME = "fuzz_sub"
 
 def _lit(text: str) -> ast.Number:
     """A literal node whose planes match its spelling."""
-    return _parse_number_literal(text)
+    return parse_number_literal(text)
 
 
 def _ident(name: str) -> ast.Identifier:

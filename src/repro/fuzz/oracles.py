@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from ..core.backend import ProcessPoolBackend, SerialBackend, evaluate_design_text
 from ..core.config import RepairConfig
 from ..core.templates import applicable_templates, apply_template
-from ..core.templates_ext import applicable_extended
 from ..hdl import ast, generate, max_node_id, parse, structural_diff
 from ..instrument.trace import SimulationTrace
 from ..sim.compile import CompiledSimulator
@@ -352,7 +351,7 @@ def check_templates(
     for node in design.walk():
         if node.node_id is None:
             continue
-        names = applicable_templates(node) + applicable_extended(node)
+        names = applicable_templates(node) + applicable_templates(node, extension=True)
         for name in names:
             clone = design.clone()
             try:

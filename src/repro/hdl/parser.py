@@ -705,7 +705,7 @@ class Parser:
         if "." in text:
             return ast.RealNumber(text)
         try:
-            return _parse_number_literal(text)
+            return parse_number_literal(text)
         except ValueError as exc:
             raise ParseError(str(exc), tok) from exc
 
@@ -714,7 +714,7 @@ _BASE_BITS = {"b": 1, "o": 3, "h": 4}
 _HEX_DIGITS = "0123456789abcdef"
 
 
-def _parse_number_literal(text: str) -> ast.Number:
+def parse_number_literal(text: str) -> ast.Number:
     """Parse a Verilog integer literal into a :class:`Number` node.
 
     Handles plain decimals, and sized/unsized based literals with x/z/?

@@ -30,27 +30,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..hdl import ast
-
-#: Assignment node types a defect can target.
-_ASSIGNS = (ast.BlockingAssign, ast.NonBlockingAssign, ast.ContinuousAssign)
-
-#: Declaration kinds that name a replaceable data signal (excludes
-#: parameters, events, genvars: substituting those changes the program's
-#: static semantics rather than misassigning a signal).
-_SIGNAL_KINDS = ("input", "output", "inout", "wire", "reg", "integer")
-
-#: Interchangeable binary-operator families for ``wrong_operator``.
-_OP_FAMILIES: tuple[tuple[str, ...], ...] = (
-    ("+", "-"),
-    ("==", "!="),
-    ("<", "<=", ">", ">="),
-    ("&", "|", "^"),
-    ("&&", "||"),
-    ("<<", ">>"),
+from ..hdl.dataflow import (
+    ASSIGNMENTS,
+    OPERATOR_TO_FAMILY,
+    SIGNAL_KINDS,
+    enclosing_module,
+    lhs_base_name,
 )
-_OP_TO_FAMILY: dict[str, tuple[str, ...]] = {
-    op: family for family in _OP_FAMILIES for op in family
-}
 
 
 @dataclass(frozen=True)
@@ -72,26 +58,11 @@ class MintMutator:
 # ----------------------------------------------------------------------
 
 
-def _enclosing_module(source: ast.Source, node_id: int) -> ast.ModuleDef | None:
-    """The module whose subtree contains ``node_id``, if any."""
-    for module in source.modules:
-        if module.find(node_id) is not None:
-            return module
-    return None
-
-
-def _lhs_base_name(expr: ast.Expr) -> str | None:
-    """The assigned signal's name, looking through index/part selects."""
-    while isinstance(expr, (ast.Index, ast.PartSelect)):
-        expr = expr.target
-    return expr.name if isinstance(expr, ast.Identifier) else None
-
-
 def _assign_sites(source: ast.Source) -> list[int]:
     """Assignments with an identifier-bearing right-hand side, preorder."""
     out: list[int] = []
     for node in source.walk():
-        if isinstance(node, _ASSIGNS) and node.node_id is not None:
+        if isinstance(node, ASSIGNMENTS) and node.node_id is not None:
             if any(isinstance(n, ast.Identifier) for n in node.rhs.walk()):
                 out.append(node.node_id)
     return out
@@ -184,7 +155,7 @@ def _operator_sites(source: ast.Source) -> list[int]:
         for node in source.walk()
         if isinstance(node, ast.BinaryOp)
         and node.node_id is not None
-        and node.op in _OP_TO_FAMILY
+        and node.op in OPERATOR_TO_FAMILY
     ]
 
 
@@ -192,9 +163,9 @@ def _operator_apply(
     source: ast.Source, site: int, rng: random.Random
 ) -> str | None:
     node = source.find(site)
-    if not isinstance(node, ast.BinaryOp) or node.op not in _OP_TO_FAMILY:
+    if not isinstance(node, ast.BinaryOp) or node.op not in OPERATOR_TO_FAMILY:
         return None
-    choices = [op for op in _OP_TO_FAMILY[node.op] if op != node.op]
+    choices = [op for op in OPERATOR_TO_FAMILY[node.op] if op != node.op]
     if not choices:
         return None
     old = node.op
@@ -253,20 +224,20 @@ def _misassign_apply(
     source: ast.Source, site: int, rng: random.Random
 ) -> str | None:
     node = source.find(site)
-    if not isinstance(node, _ASSIGNS):
+    if not isinstance(node, ASSIGNMENTS):
         return None
-    module = _enclosing_module(source, site)
+    module = enclosing_module(source, site)
     if module is None:
         return None
     idents = [n for n in node.rhs.walk() if isinstance(n, ast.Identifier)]
     if not idents:
         return None
     target = idents[rng.randrange(len(idents))]
-    lhs_name = _lhs_base_name(node.lhs)
+    lhs_name = lhs_base_name(node.lhs)
     candidates = [
         decl.name
         for decl in module.decls()
-        if decl.kind in _SIGNAL_KINDS
+        if decl.kind in SIGNAL_KINDS
         and decl.name != target.name
         and decl.name != lhs_name
     ]
@@ -284,12 +255,12 @@ def _misassign_apply(
 
 def _stuck_apply(source: ast.Source, site: int, rng: random.Random) -> str | None:
     node = source.find(site)
-    if not isinstance(node, _ASSIGNS):
+    if not isinstance(node, ASSIGNMENTS):
         return None
     value = rng.choice((0, 1))
     if isinstance(node.rhs, ast.Number) and node.rhs.aval == value and node.rhs.bval == 0:
         return None
-    name = _lhs_base_name(node.lhs) or "signal"
+    name = lhs_base_name(node.lhs) or "signal"
     node.rhs = ast.Number.from_int(value)
     return f"stuck constant: '{name}' driven with the constant {value}"
 

@@ -13,10 +13,11 @@ design — in a fixed order: sites in preorder, choices in solve order.
 Sites outside the fault-localized region (``ctx.fault_scope``) are
 skipped, which is what keeps enumeration tractable on larger designs.
 
-The templates deliberately reuse the site machinery from
-:mod:`repro.mint.mutators` (``_ASSIGNS``, ``_SIGNAL_KINDS``, operator
-families, enclosing-module lookup) so the fixer and the defect factory
-agree on what an editable site is.
+The templates read the edit-site vocabulary (``ASSIGNMENTS``,
+``SIGNAL_KINDS``, the operator families, the enclosing-module and
+assigned-signal lookups) from :mod:`repro.hdl.dataflow`, the one table
+the mint mutators, the GP templates and GP mutation share, so the fixer
+and the defect factory agree on what an editable site is.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from typing import Callable
 
 from ..core.patch import Edit, Patch
 from ..hdl import ast
-from ..mint.mutators import (
-    _ASSIGNS,
-    _OP_TO_FAMILY,
-    _SIGNAL_KINDS,
-    _enclosing_module,
-    _lhs_base_name,
+from ..hdl.dataflow import (
+    ASSIGNMENTS,
+    OPERATOR_TO_FAMILY,
+    SIGNAL_KINDS,
+    enclosing_module,
+    lhs_base_name,
 )
 from .solver import SolveContext, literal_domain
 
@@ -102,7 +103,7 @@ def _add_inversions(design: ast.Source, ctx: SolveContext) -> list[Candidate]:
                     _replace(cond.node_id, ast.UnaryOp("!", cond.clone()), "add '!' on condition")
                 )
         elif (
-            isinstance(node, _ASSIGNS)
+            isinstance(node, ASSIGNMENTS)
             and node.rhs is not None
             and node.rhs.node_id is not None
             and ctx.covers(node.rhs.node_id)
@@ -131,10 +132,10 @@ def _flip_operator(design: ast.Source, ctx: SolveContext) -> list[Candidate]:
         if (
             isinstance(node, ast.BinaryOp)
             and node.node_id is not None
-            and node.op in _OP_TO_FAMILY
+            and node.op in OPERATOR_TO_FAMILY
             and ctx.covers(node.node_id)
         ):
-            for alt in _OP_TO_FAMILY[node.op]:
+            for alt in OPERATOR_TO_FAMILY[node.op]:
                 if alt == node.op:
                     continue
                 payload = ast.BinaryOp(alt, node.left.clone(), node.right.clone())
@@ -221,18 +222,18 @@ def _replace_variables(design: ast.Source, ctx: SolveContext) -> list[Candidate]
     priority: list[Candidate] = []
     out: list[Candidate] = []
     for node in design.walk():
-        if not isinstance(node, _ASSIGNS) or node.node_id is None:
+        if not isinstance(node, ASSIGNMENTS) or node.node_id is None:
             continue
         if node.rhs is None or not ctx.covers(node.node_id):
             continue
-        module = _enclosing_module(design, node.node_id)
+        module = enclosing_module(design, node.node_id)
         if module is None:
             continue
-        lhs_name = _lhs_base_name(node.lhs)
+        lhs_name = lhs_base_name(node.lhs)
         signals = [
             decl.name
             for decl in module.decls()
-            if decl.kind in _SIGNAL_KINDS and decl.name != lhs_name
+            if decl.kind in SIGNAL_KINDS and decl.name != lhs_name
         ]
         idents = [n for n in node.rhs.walk() if isinstance(n, ast.Identifier)]
         site_out: list[Candidate] = []
@@ -263,7 +264,7 @@ def _replace_variables(design: ast.Source, ctx: SolveContext) -> list[Candidate]
             # registered parity/flag bits are the classic stuck victims.
             for decl in module.decls():
                 if (
-                    decl.kind not in _SIGNAL_KINDS
+                    decl.kind not in SIGNAL_KINDS
                     or decl.name == lhs_name
                     or not isinstance(decl.msb, ast.Number)
                     or not isinstance(decl.lsb, ast.Number)

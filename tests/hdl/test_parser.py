@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hdl import ast, parse
-from repro.hdl.parser import ParseError, _parse_number_literal
+from repro.hdl.parser import ParseError, parse_number_literal
 
 
 def module_of(source):
@@ -257,33 +257,33 @@ class TestExpressions:
 
 class TestNumberLiterals:
     def test_plain_decimal_is_signed_32(self):
-        num = _parse_number_literal("42")
+        num = parse_number_literal("42")
         assert (num.width, num.aval, num.signed) == (None, 42, True)
 
     def test_sized_binary(self):
-        num = _parse_number_literal("4'b1010")
+        num = parse_number_literal("4'b1010")
         assert (num.width, num.aval, num.bval) == (4, 0b1010, 0)
 
     def test_hex_with_x_digit(self):
-        num = _parse_number_literal("8'hFx")
+        num = parse_number_literal("8'hFx")
         assert num.aval & 0xF == 0xF
         assert num.bval & 0xF == 0xF
 
     def test_z_extension_to_width(self):
-        num = _parse_number_literal("8'bz")
+        num = parse_number_literal("8'bz")
         assert num.bval == 0xFF
         assert num.aval == 0
 
     def test_question_mark_is_z(self):
-        num = _parse_number_literal("4'b10?0")
+        num = parse_number_literal("4'b10?0")
         assert num.bval == 0b0010
 
     def test_truncation_to_width(self):
-        num = _parse_number_literal("2'h10")
+        num = parse_number_literal("2'h10")
         assert num.aval == 0  # 0x10 truncated to 2 bits
 
     def test_decimal_sized(self):
-        num = _parse_number_literal("16'd1000")
+        num = parse_number_literal("16'd1000")
         assert num.aval == 1000
 
 
