@@ -51,7 +51,8 @@ from .api import (
 from .core.config import ConfigError, RepairConfig
 from .core.engines import engine_names, get_engine, register_engine
 from .core.oracle import ensure_instrumented, generate_oracle
-from .core.repair import CirFixEngine, RepairOutcome, RepairProblem
+from .core.harness import RepairOutcome, RepairProblem
+from .core.repair import CirFixEngine
 from .hdl import generate, parse
 from .service.jobs import JobStatus, RepairRequest, RepairResponse
 from .sim import SimResult, Simulator

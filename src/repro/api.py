@@ -40,7 +40,7 @@ from .core.config import RepairConfig
 from .core.engines import DEFAULT_ENGINE, get_engine
 from .core.faultloc import FaultLocalization, localize_faults
 from .core.oracle import combine_sources, ensure_instrumented, generate_oracle
-from .core.repair import RepairOutcome, RepairProblem
+from .core.harness import RepairOutcome, RepairProblem
 from .hdl import ast, parse
 from .instrument.trace import SimulationTrace, output_mismatch
 from .obs.observer import RepairObserver

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from ..hdl import ast
 from ..core.config import RepairConfig
+from ..core.harness import RepairProblem
 from ..core.patch import Edit, Patch
-from ..core.repair import CirFixEngine, RepairProblem
+from ..core.repair import CirFixEngine
 
 
 @dataclass

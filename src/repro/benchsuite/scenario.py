@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..core.config import RepairConfig
 from ..core.fitness import evaluate_fitness
 from ..core.oracle import combine_sources, ensure_instrumented, generate_oracle
-from ..core.repair import RepairProblem
+from ..core.harness import RepairProblem
 from ..hdl import parse
 from ..instrument.trace import SimulationTrace
 from ..sim.simulator import Simulator

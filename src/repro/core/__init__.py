@@ -5,6 +5,8 @@ The paper's primary contribution.  Public entry points:
 - :class:`RepairProblem` — package a faulty design + instrumented testbench
   + oracle trace;
 - :class:`CirFixEngine` / :func:`repair` — run Algorithm 1;
+- :func:`run_trials` / :func:`best_of` — the seed sweep every engine
+  runs through;
 - :func:`localize_faults` — Algorithm 2;
 - :func:`evaluate_fitness` — the §3.2 fitness function.
 """
@@ -28,7 +30,15 @@ from .minimize import minimize_patch
 from .operators import apply_fix_pattern, crossover, mutate
 from .oracle import OracleError, combine_sources, degrade_oracle, ensure_instrumented, generate_oracle
 from .patch import Edit, Patch
-from .repair import CirFixEngine, Evaluation, RepairOutcome, RepairProblem, repair
+from .harness import (
+    Evaluation,
+    RepairOutcome,
+    RepairProblem,
+    adaptive_chunk_size,
+    best_of,
+    run_trials,
+)
+from .repair import CirFixEngine, repair
 from .selection import elite, tournament_select
 from .serialize import outcome_to_json, patch_from_json, patch_to_json
 from .templates import (
@@ -47,6 +57,9 @@ __all__ = [
     "RepairOutcome",
     "Evaluation",
     "repair",
+    "run_trials",
+    "best_of",
+    "adaptive_chunk_size",
     "EvaluationBackend",
     "SerialBackend",
     "ProcessPoolBackend",

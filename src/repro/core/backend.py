@@ -84,7 +84,7 @@ import sys
 import time
 from collections import OrderedDict, deque
 from pathlib import Path
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..cache import PersistentEvalCache
@@ -100,7 +100,7 @@ from .config import BACKEND_NAMES, RepairConfig
 from .fitness import FitnessBreakdown, evaluate_fitness
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repair → backend)
-    from .repair import RepairProblem
+    from .harness import RepairProblem
 
 logger = logging.getLogger("repro.repair")
 
@@ -435,11 +435,13 @@ def encode_eval_payload(result: CandidateResult) -> dict:
 
     The payload is a faithful round-trip of every :class:`CandidateResult`
     field except ``failure`` (quarantined results are never cached) —
-    including the recorded telemetry stats, so replayed hits produce the
-    same event stream the original computation did, and the full trace as
-    CSV when the result carries one (serial evaluations), so a serial
-    replay can skip the localization re-simulation exactly like the
-    original run did.
+    including the recorded telemetry counters, so replayed hits produce
+    the same event stream the original computation did, and the full
+    trace as CSV when the result carries one (serial evaluations), so a
+    serial replay can skip the localization re-simulation exactly like
+    the original run did.  The wall fields are stored as measured, but
+    :class:`EvalCache` serves a hit with them at 0 (a hit costs none of
+    that time); they are outside the event fingerprint.
     """
     breakdown = None
     if result.breakdown is not None:
@@ -545,6 +547,13 @@ def open_eval_store(config: RepairConfig) -> PersistentEvalCache | None:
 TRACE_CAPACITY = 256
 
 
+def _untimed(result: CandidateResult) -> CandidateResult:
+    """``result`` as a memo hit reports it: the wall fields at 0."""
+    if not (result.eval_seconds or result.parse_seconds or result.sim_seconds):
+        return result
+    return replace(result, eval_seconds=0.0, parse_seconds=0.0, sim_seconds=0.0)
+
+
 def _complete(result: CandidateResult) -> bool:
     """Whether ``result`` is what an in-process evaluation returns.
 
@@ -577,10 +586,12 @@ class EvalCache:
     - :meth:`recall` returns an already-scored candidate's record, with
       its trace while the memo still holds it.
 
-    Hits replay the recorded telemetry fields, so observers see the same
-    events for computed and replayed results.  Quarantined results are
-    never stored: a timeout under one pool's deadline is not a property
-    of the candidate text, and a retry must re-evaluate.
+    Hits replay the recorded counters (``sim_events``, ``sim_steps``), so
+    observers see the same events for computed and replayed results; the
+    wall fields (``eval_seconds``, ``parse_seconds``, ``sim_seconds``)
+    read 0, because a hit spends none of that time.  Quarantined results
+    are never stored: a timeout under one pool's deadline is not a
+    property of the candidate text, and a retry must re-evaluate.
     """
 
     __slots__ = (
@@ -696,6 +707,7 @@ class EvalCache:
 
     def _admit(self, key: bytes, result: CandidateResult) -> None:
         """Store one record; beyond capacity the oldest trace is dropped."""
+        result = _untimed(result)
         self._records[key] = result
         if result.trace is None:
             self._traced.pop(key, None)
@@ -716,6 +728,7 @@ class EvalCache:
         result = decode_eval_payload(payload)
         if result is None:
             return None
+        result = _untimed(result)
         if not self.keep_traces:
             return result.without_trace()
         # A stripped successful entry (written by a pool run) replayed
@@ -1433,11 +1446,13 @@ def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBa
 
     ``config.backend`` is ``"serial"``, ``"process"``, or ``"auto"``
     (pool when ``config.workers > 1``, serial otherwise).  Inside an
-    already-pooled (daemonic) trial or scenario worker, which may not
-    spawn children, or when the pool cannot be built, ``"process"``
+    already-pooled (daemonic) scenario worker, which may not spawn
+    children, or when the pool cannot be built, ``"process"``
     degrades to a :class:`SerialBackend`: results are identical, only
     slower.  The pool's workers start on its first batch; a host that
-    cannot start them gets the batch evaluated inline.
+    cannot start them gets the batch evaluated inline.  A seed sweep
+    (:func:`repro.core.harness.run_trials`) builds one backend here and
+    shares it across its trials; an engine given none builds its own.
     """
     choice = config.backend
     workers = max(1, config.workers)

@@ -70,8 +70,9 @@ class RepairConfig:
     #: the paper's "adding more repair templates" future-work direction.
     #: Off by default so the reproduction matches the paper's template set.
     extended_templates: bool = False
-    #: Worker processes for candidate evaluation (and, in ``repair()`` /
-    #: the experiment drivers, for independent trials and scenario sweeps).
+    #: Worker processes for candidate evaluation (one pool per seed
+    #: sweep, :func:`repro.core.harness.run_trials`); the experiment
+    #: drivers fan scenario sweeps out over them instead.
     #: 1 = fully serial, the paper's original behaviour.
     workers: int = 1
     #: Evaluation backend: "serial", "process", or "auto" (process pool

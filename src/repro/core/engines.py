@@ -1,4 +1,4 @@
-"""The repair-engine registry (ROADMAP item 3 groundwork).
+"""The repair-engine registry.
 
 ``repro.api`` and the service daemon are *engine-neutral*: every repair
 entry point takes ``engine: str = "cirfix"`` and resolves it here, so a
@@ -13,7 +13,11 @@ A runner is a callable with the signature::
            checkpoint=None) -> RepairOutcome
 
 mirroring :func:`repro.core.repair.repair` (which is the built-in
-``"cirfix"`` runner).  Runners must honour the package-wide contracts:
+``"cirfix"`` runner).  The ``cirfix`` and ``synth`` runners are thin:
+each is :func:`~repro.core.harness.best_of` over the shared seed sweep
+:func:`~repro.core.harness.run_trials`, whose engine class supplies
+only its search step.  Runners must honour the package-wide contracts:
+an empty ``seeds`` raises ``ValueError``;
 same seed → bit-identical outcome; observers never influence the search;
 ``cancel`` polled cooperatively; ``checkpoint`` (a callable receiving
 the engine's deterministic cursor snapshot at each search boundary, see
@@ -38,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.observer import RepairObserver
     from .backend import EvaluationBackend
     from .config import RepairConfig
-    from .repair import RepairOutcome, RepairProblem
+    from .harness import RepairOutcome, RepairProblem
 
 #: The engine every entry point defaults to.
 DEFAULT_ENGINE = "cirfix"

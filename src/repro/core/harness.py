@@ -2,13 +2,16 @@
 
 The GP engine (:mod:`repro.core.repair`) and the template-synthesis
 engine (:mod:`repro.synth.engine`) differ only in how they *propose*
-candidate patches.  Everything else — candidate evaluation with
+candidate patches.  Everything else — the trial frame (score the faulty
+design, search, minimize a plausible winner), candidate evaluation with
 memoisation, the lint gate, batched scoring through an
 :class:`~repro.core.backend.EvaluationBackend`, fault localization with
 trace refresh, delta-debugging minimization, phase accounting, and the
 final :class:`RepairOutcome` assembly — lives here in
 :class:`EngineHarness`, so caching, supervision, gating, and telemetry
-apply to every engine unchanged.
+apply to every engine unchanged.  The seed sweep around the trials is
+here too: :func:`run_trials` runs one trial per seed on a shared
+backend, and :func:`best_of` picks the sweep's outcome.
 
 Determinism contract (shared by all engines built on the harness): the
 outcome for a given seed is bit-identical on every backend; the
@@ -19,10 +22,11 @@ at chunk boundaries.  See ``docs/repair_engine.md``.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time as time_mod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..hdl import ast, generate, parse
 from ..instrument.trace import SimulationTrace, output_mismatch
@@ -38,7 +42,9 @@ from ..obs.events import (
     ChunkRetried,
     GenerationCompleted,
     PhaseCompleted,
+    PlausiblePatchFound,
     TrialCompleted,
+    TrialStarted,
     WorkerCrashed,
 )
 from ..obs.observer import ObserverSet, RepairObserver
@@ -49,7 +55,7 @@ from .backend import (
     evaluate_design_text,
     make_backend,
 )
-from .config import RepairConfig
+from .config import BACKEND_NAMES, RepairConfig
 from .faultloc import all_statement_ids, localize_faults
 from .fitness import FitnessBreakdown
 from .minimize import minimize_patch
@@ -175,12 +181,13 @@ def adaptive_chunk_size(batch: int, eval_chunk_size: int) -> int:
 
 
 class EngineHarness:
-    """Shared pre-passes and accounting for one trial of any engine.
+    """The trial frame, shared pre-passes and accounting for any engine.
 
-    Subclasses implement :meth:`_run` (the search loop) and own
-    ``operator_stats`` (how candidates were proposed); everything a loop
-    needs — memoised evaluation, batched backend scoring, localization,
-    minimization, the outcome — is provided here.
+    :meth:`run` drives one trial through the same frame for every engine
+    (:meth:`_run`); subclasses implement only :meth:`_search` (the search
+    loop, which sets ``operator_stats`` to how it proposes candidates).
+    Everything a loop needs — memoised evaluation, batched backend
+    scoring, localization, minimization, the outcome — is provided here.
 
     Candidate batches are scored through an
     :class:`~repro.core.backend.EvaluationBackend`; pass one to share a
@@ -193,6 +200,8 @@ class EngineHarness:
 
     #: Registry name stamped into checkpoint snapshots (subclasses set it).
     engine_name = "engine"
+    #: Progress logger of the trial frame (subclasses set their own).
+    log = logger
 
     def __init__(
         self,
@@ -612,8 +621,87 @@ class EngineHarness:
         finally:
             self._release_backend()
 
-    def _run(self) -> RepairOutcome:  # pragma: no cover - interface
-        raise NotImplementedError("engines built on EngineHarness implement _run")
+    def _run(self) -> RepairOutcome:
+        """The trial frame around :meth:`_search` (Algorithm 1's shell).
+
+        Scores the faulty design (returning at once if it is already
+        plausible), runs the engine's search, and minimizes a plausible
+        winner before assembling the outcome.
+        """
+        config = self.config
+        start = time_mod.monotonic()
+        deadline = start + config.max_wall_seconds
+        if self.events:
+            self.events.emit(
+                TrialStarted(
+                    scenario=self.problem.name,
+                    seed=self.seed,
+                    backend=config.backend,
+                    workers=config.workers,
+                    population_size=config.population_size,
+                    max_generations=config.max_generations,
+                )
+            )
+        out_of_budget = self._budget_probe(deadline)
+
+        original = Patch.empty()
+        original_eval = self.evaluate(original)
+        original._fitness = original_eval.fitness  # type: ignore[attr-defined]
+        history = [original_eval.fitness]
+        tag = f"[{self.problem.name} seed={self.seed}]"
+        self.log.info(
+            "%s start: fitness=%.4f popsize=%d",
+            tag, original_eval.fitness, config.population_size,
+        )
+        if original_eval.is_plausible:
+            # Nothing to repair (shouldn't happen for real defect scenarios).
+            return self._finish(original, original_eval, 0, start, history)
+
+        winner, best_patch, generations = self._search(
+            original, original_eval, history, out_of_budget
+        )
+        final_patch = winner if winner is not None else best_patch
+        final_eval = self.evaluate(final_patch)
+        if winner is not None:
+            if self.events:
+                self.events.emit(
+                    PlausiblePatchFound(
+                        generation=generations,
+                        fitness=final_eval.fitness,
+                        edits=len(final_patch),
+                    )
+                )
+            self.log.info(
+                "%s plausible repair found (%d edits); minimizing",
+                tag, len(final_patch),
+            )
+            final_patch = self._minimize(final_patch)
+            final_eval = self.evaluate(final_patch)
+            self.log.info(
+                "%s minimized to %d edits: %s",
+                tag, len(final_patch), final_patch.describe(),
+            )
+        self._search_completed(final_eval)
+        return self._finish(final_patch, final_eval, generations, start, history)
+
+    def _search(
+        self,
+        original: Patch,
+        original_eval: Evaluation,
+        history: list[float],
+        out_of_budget: Callable[[], bool],
+    ) -> tuple[Patch | None, Patch, int]:  # pragma: no cover - interface
+        """The engine's search step: ``(winner, best_patch, generations)``.
+
+        ``winner`` is the first plausible patch (None when the search
+        ended without one), ``best_patch`` the best-fitness patch seen,
+        and ``generations`` the search boundaries crossed.  The search
+        appends the best fitness at each boundary to ``history``.
+        """
+        raise NotImplementedError("engines built on EngineHarness implement _search")
+
+    def _search_completed(self, final_eval: Evaluation) -> None:
+        """Called once the final patch is scored (and minimized); no-op."""
 
     def _budget_probe(self, deadline: float) -> Callable[[], bool]:
         """The shared out-of-budget predicate for one trial.
@@ -772,10 +860,90 @@ class EngineHarness:
         return outcome
 
 
+# ----------------------------------------------------------------------
+# The seed sweep: independent trials, first plausible in seed order wins
+# ----------------------------------------------------------------------
+
+
+def run_trials(
+    engine_cls: type[EngineHarness],
+    problem: RepairProblem,
+    config: RepairConfig | None,
+    seeds: Sequence[int],
+    *,
+    backend: EvaluationBackend | None = None,
+    observers: Sequence[RepairObserver] | None = None,
+    cancel: Callable[[], bool] | None = None,
+    checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
+) -> list[RepairOutcome]:
+    """Run one ``engine_cls`` trial per seed, in seed order.
+
+    Returns the outcomes of the trials that ran: the sweep stops after
+    the first plausible trial, and a ``cancel`` probe that fires between
+    trials stops it early (the first trial always runs).  All trials
+    share one evaluation backend — ``backend`` when given (the caller
+    owns it), else one built here by :func:`make_backend` and closed
+    when the sweep ends, so with ``config.workers > 1`` every trial
+    evaluates on the same supervised pool.  ``observers`` see every
+    trial's events.
+    """
+    config = config or RepairConfig()
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("a repair sweep needs at least one seed")
+    if config.backend not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown evaluation backend {config.backend!r}; "
+            f"valid backends: {', '.join(BACKEND_NAMES)}"
+        )
+    events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
+    outcomes: list[RepairOutcome] = []
+    with shared_backend(problem, config, backend) as shared:
+        for seed in seeds:
+            if outcomes and cancel is not None and cancel():
+                break  # cancelled between trials: stop the sweep early
+            outcome = engine_cls(
+                problem, config, seed, backend=shared, observers=events,
+                cancel=cancel, checkpoint=checkpoint,
+            ).run()
+            outcomes.append(outcome)
+            if outcome.plausible:
+                break
+    return outcomes
+
+
+def best_of(outcomes: Sequence[RepairOutcome]) -> RepairOutcome:
+    """The first plausible outcome, else the earliest best-fitness one."""
+    best: RepairOutcome | None = None
+    for outcome in outcomes:
+        if outcome.plausible:
+            return outcome
+        if best is None or outcome.fitness > best.fitness:
+            best = outcome
+    if best is None:
+        raise ValueError("no trial outcomes to choose from")
+    return best
+
+
+@contextlib.contextmanager
+def shared_backend(
+    problem: RepairProblem, config: RepairConfig, backend: EvaluationBackend | None = None
+) -> Iterator[EvaluationBackend]:
+    """``backend`` as is, or one built from ``config`` and closed on exit."""
+    if backend is not None:
+        yield backend  # the caller owns it
+        return
+    with make_backend(problem, config) as owned:
+        yield owned
+
+
 __all__ = [
     "EngineHarness",
     "Evaluation",
     "RepairOutcome",
     "RepairProblem",
     "adaptive_chunk_size",
+    "best_of",
+    "run_trials",
+    "shared_backend",
 ]

@@ -20,8 +20,8 @@ from typing import Any
 from ..hdl import ast, generate
 from ..hdl.lexer import tokenize
 from ..hdl.parser import Parser
+from .harness import RepairOutcome
 from .patch import Edit, Patch
-from .repair import RepairOutcome
 
 
 class SerializeError(Exception):

@@ -8,7 +8,6 @@ records which preset produced the committed numbers.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -16,10 +15,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..benchsuite import Scenario, load_scenario
-from ..core.backend import EvaluationBackend, make_backend, mp_context
+from ..core.backend import mp_context
 from ..core.config import RepairConfig
 from ..core.engines import DEFAULT_ENGINE, get_engine
-from ..core.repair import CirFixEngine, RepairOutcome
+from ..obs.events import RepairEvent, TrialCompleted
 from ..obs.observer import ObserverSet, RepairObserver
 
 logger = logging.getLogger("repro.experiments")
@@ -91,6 +90,27 @@ class ScenarioResult:
         return "none"
 
 
+class SweepTotals:
+    """Sums what a sweep's trials spent, read from their ``TrialCompleted``
+    events (whose counters mirror ``RepairOutcome``), and passes every
+    event on to ``forward``."""
+
+    def __init__(self, forward: ObserverSet | None = None):
+        self.trials = 0
+        self.simulations = 0
+        self.eval_sims = 0
+        self._forward = forward
+
+    def on_event(self, event: RepairEvent) -> None:
+        """Add a finished trial's counters, then forward ``event``."""
+        if isinstance(event, TrialCompleted):
+            self.trials += 1
+            self.simulations += event.simulations
+            self.eval_sims += event.eval_sims
+        if self._forward:
+            self._forward.emit(event)
+
+
 def run_scenario(
     scenario: Scenario,
     config: RepairConfig,
@@ -102,73 +122,43 @@ def run_scenario(
     """Run repair trials on one scenario (paper: 5 independent trials,
     stopping at the first plausible repair).
 
-    This is the one driver every experiment funnels through.  With
-    ``config.workers > 1`` the trials share one evaluation backend (a
-    persistent process pool), so the pool is paid for once per scenario,
-    not once per seed.  ``observers`` (repro.obs) see every trial's event
-    stream; they never influence the search.  ``engine`` names a
-    registered repair engine (:mod:`repro.core.engines`); the built-in
-    ``"cirfix"`` keeps the historical per-seed trial loop bit-for-bit,
-    other engines receive all seeds in one runner call.
+    This is the one driver every experiment funnels through.  It calls
+    the registered runner of ``engine`` (:mod:`repro.core.engines`) with
+    every seed; the runner's sweep (:func:`repro.core.harness.run_trials`)
+    shares one evaluation backend across the trials, so with
+    ``config.workers > 1`` the process pool is paid for once per
+    scenario, not once per seed.  ``observers`` (repro.obs) see every
+    trial's event stream; they never influence the search.  The row's
+    ``simulations`` and ``eval_sims`` are totals over every trial that
+    ran, read from the trials' ``TrialCompleted`` events.  An empty
+    ``seeds`` raises ``ValueError``.
     """
     scaled = scenario.suggested_config(config)
-    events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
+    caller = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
+    totals = SweepTotals(forward=caller)
     start = time.monotonic()
-    best: RepairOutcome | None = None
-    winner: RepairOutcome | None = None
-    total_sims = 0
-    total_evals = 0
-    problem = scenario.problem()
-    backend: EvaluationBackend | None = (
-        make_backend(problem, scaled) if scaled.workers > 1 else None
-    )
-    # Backends are context managers; a serial run needs no scope at all.
-    with backend if backend is not None else contextlib.nullcontext():
-        if engine == DEFAULT_ENGINE:
-            for seed in seeds:
-                outcome = CirFixEngine(
-                    problem, scaled, seed, backend=backend, observers=events
-                ).run()
-                total_sims += outcome.simulations
-                total_evals += outcome.eval_sims
-                if best is None or outcome.fitness > best.fitness:
-                    best = outcome
-                if outcome.plausible:
-                    winner = outcome
-                    break
-        else:
-            runner = get_engine(engine)
-            outcome = runner(
-                problem, scaled, tuple(seeds), backend=backend, observers=events
-            )
-            total_sims = outcome.simulations
-            total_evals = outcome.eval_sims
-            best = outcome
-            if outcome.plausible:
-                winner = outcome
-    assert best is not None
-    chosen = winner if winner is not None else best
+    chosen = get_engine(engine)(scenario.problem(), scaled, tuple(seeds), observers=[totals])
     correct = False
-    if winner is not None and winner.repaired_source is not None:
-        correct = scenario.is_correct_repair(winner.repaired_source)
+    if chosen.plausible and chosen.repaired_source is not None:
+        correct = scenario.is_correct_repair(chosen.repaired_source)
     defect = scenario.defect
     return ScenarioResult(
         scenario_id=scenario.scenario_id,
         project=defect.project,
         description=defect.description,
         category=defect.category,
-        plausible=winner is not None,
+        plausible=chosen.plausible,
         correct=correct,
-        repair_seconds=(time.monotonic() - start) if winner is not None else None,
+        repair_seconds=(time.monotonic() - start) if chosen.plausible else None,
         fitness=chosen.fitness,
-        simulations=total_sims,
+        simulations=totals.simulations,
         generations=chosen.generations,
         edits=len(chosen.patch),
         paper_outcome=defect.paper_outcome,
         seed=chosen.seed,
         best_fitness_history=chosen.best_fitness_history,
         repaired_source=chosen.repaired_source,
-        eval_sims=total_evals,
+        eval_sims=totals.eval_sims,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..benchsuite import load_scenario
 from ..core.config import RepairConfig
-from ..core.repair import CirFixEngine
+from ..core.repair import repair
 from .common import QUICK, format_table
 
 #: Defect scenarios from classes the paper reports as unrepairable with the
@@ -44,23 +44,8 @@ def run_ext_ablation(
     for scenario_id in scenario_ids:
         scenario = load_scenario(scenario_id)
         scaled = scenario.suggested_config(config)
-
-        def best_run(extended: bool):
-            best = None
-            for seed in seeds:
-                outcome = CirFixEngine(
-                    scenario.problem(),
-                    scaled.scaled(extended_templates=extended),
-                    seed,
-                ).run()
-                if best is None or outcome.fitness > best.fitness:
-                    best = outcome
-                if outcome.plausible:
-                    break
-            return best
-
-        core = best_run(extended=False)
-        ext = best_run(extended=True)
+        core = repair(scenario.problem(), scaled.scaled(extended_templates=False), seeds)
+        ext = repair(scenario.problem(), scaled.scaled(extended_templates=True), seeds)
         rows.append(
             ExtAblationRow(
                 scenario_id=scenario_id,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from ..benchsuite import load_scenario
 from ..core.config import RepairConfig
-from ..core.repair import CirFixEngine
-from .common import SMOKE, format_table
+from ..core.repair import repair
+from .common import SMOKE, SweepTotals, format_table
 
 #: Fast scenarios with distinct repair mechanisms (template vs operator).
 SWEEP_SCENARIOS: tuple[str, ...] = ("ff_cond", "lshift_blocking", "counter_incr")
@@ -58,25 +58,20 @@ def run_param_sensitivity(
         for value in values:
             override = int(value) if knob == "population_size" else float(value)
             repaired = 0
-            simulations = 0
-            runs = 0
+            totals = SweepTotals()  # simulations over every trial that ran
             for scenario_id in scenario_ids:
                 scenario = load_scenario(scenario_id)
                 config = scenario.suggested_config(base).scaled(**{knob: override})
-                for seed in seeds:
-                    runs += 1
-                    outcome = CirFixEngine(scenario.problem(), config, seed).run()
-                    simulations += outcome.simulations
-                    if outcome.plausible:
-                        repaired += 1
-                        break
+                repaired += repair(
+                    scenario.problem(), config, seeds, observers=[totals]
+                ).plausible
             cells.append(
                 SweepCell(
                     knob=knob,
                     value=value,
                     repaired=repaired,
                     total=len(scenario_ids),
-                    mean_simulations=simulations / max(runs, 1),
+                    mean_simulations=totals.simulations / max(totals.trials, 1),
                 )
             )
     return cells

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..api import repair_scenario
 from ..benchsuite import Scenario, all_scenarios, load_scenario
 from ..core.config import RepairConfig
-from ..core.repair import RepairProblem
+from ..core.harness import RepairProblem
 from .common import QUICK, format_table
 
 #: The paper's oracle-completeness levels.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..benchsuite import load_project
 from ..benchsuite.seeding import DefectSeeder
 from ..core.config import RepairConfig
-from ..core.repair import CirFixEngine
+from ..core.repair import repair
 from .common import SMOKE, format_table
 
 SEED_PROJECTS: tuple[str, ...] = ("flip_flop", "lshift_reg", "counter")
@@ -50,11 +50,7 @@ def run_seeded_defects(
         for defect in seeded:
             scenario = seeder.as_scenario(defect)
             scaled = scenario.suggested_config(config)
-            for seed in seeds:
-                outcome = CirFixEngine(scenario.problem(), scaled, seed).run()
-                if outcome.plausible:
-                    repaired += 1
-                    break
+            repaired += repair(scenario.problem(), scaled, seeds).plausible
         mean_fitness = (
             sum(d.faulty_fitness for d in seeded) / len(seeded) if seeded else 0.0
         )

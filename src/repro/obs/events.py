@@ -5,7 +5,7 @@ dataclass below.  Events are *pure data*: producers (the engine, the
 backends) compute their fields from values the search has already
 derived, so attaching observers can never perturb the search itself —
 a fixed-seed run emits the same event sequence whether zero or ten
-observers are listening, and the :class:`~repro.core.repair.RepairOutcome`
+observers are listening, and the :class:`~repro.core.harness.RepairOutcome`
 is bit-identical either way.
 
 Determinism contract
@@ -129,7 +129,7 @@ class BackendChunkDispatched(RepairEvent):
     chunk: int
     size: int
     #: The adaptive chunk size the engine chose for this generation
-    #: (:func:`repro.core.repair.adaptive_chunk_size`); the final chunk
+    #: (:func:`repro.core.harness.adaptive_chunk_size`); the final chunk
     #: of a generation may be smaller (``size <= chunk_size``).
     chunk_size: int = 0
 

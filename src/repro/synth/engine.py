@@ -18,33 +18,40 @@ Contract (same as every engine behind the registry):
 - **Budgeted**: ``eval_sims`` ticks once per unique candidate, so
   ``config.max_fitness_evals`` bounds the solve exactly like a GP run.
 
-Template rounds map onto the harness's generation machinery: each round
-is one batched :meth:`~repro.core.harness.EngineHarness._evaluate_generation`
-call, emitting the familiar chunk/generation events plus the
+The trial frame around the search — scoring the faulty design,
+minimizing a plausible winner, the outcome — is the harness's
+(:meth:`~repro.core.harness.EngineHarness._run`); this engine supplies
+only :meth:`SynthEngine._search`.  Template rounds map onto the
+harness's generation machinery: each round is one batched
+:meth:`~repro.core.harness.EngineHarness._evaluate_generation` call,
+emitting the familiar chunk/generation events plus the
 synth-specific :class:`~repro.obs.events.SynthTemplateEnumerated` /
 :class:`~repro.obs.events.SynthSolveCompleted` lifecycle events.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import time as time_mod
 from typing import Any, Callable, Sequence
 
-from ..core.backend import BACKEND_NAMES, EvaluationBackend, make_backend
+from ..core.backend import EvaluationBackend
+# Unused here: backends are built by harness.make_backend.  The name is
+# kept only so perfbench/spans.py, which wraps it here, does not fail.
+from ..core.backend import make_backend  # noqa: F401
 from ..core.config import RepairConfig
-from ..core.harness import EngineHarness, RepairOutcome, RepairProblem
+from ..core.harness import (
+    EngineHarness,
+    Evaluation,
+    RepairOutcome,
+    RepairProblem,
+    best_of,
+    run_trials,
+)
 from ..core.patch import Patch
 from ..hdl import ast
 from ..instrument.trace import output_mismatch
-from ..obs.events import (
-    PlausiblePatchFound,
-    SynthSolveCompleted,
-    SynthTemplateEnumerated,
-    TrialStarted,
-)
-from ..obs.observer import ObserverSet, RepairObserver
+from ..obs.events import SynthSolveCompleted, SynthTemplateEnumerated
+from ..obs.observer import RepairObserver
 from .solver import SolveContext, fault_scope_ids, mine_literals
 from .templates import TEMPLATES, Candidate
 
@@ -59,23 +66,9 @@ class SynthEngine(EngineHarness):
     """
 
     engine_name = "synth"
-
-    def __init__(
-        self,
-        problem: RepairProblem,
-        config: RepairConfig | None = None,
-        seed: int = 0,
-        backend: EvaluationBackend | None = None,
-        observers: Sequence[RepairObserver] | None = None,
-        cancel: Callable[[], bool] | None = None,
-        checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
-    ):
-        super().__init__(
-            problem, config, seed, backend=backend, observers=observers,
-            cancel=cancel, checkpoint=checkpoint,
-        )
-        #: Candidates enumerated per template (diagnostics).
-        self.operator_stats = {template.name: 0 for template in TEMPLATES}
+    log = logger
+    #: (rounds, candidates, winner template) of the finished search.
+    _solve: tuple[int, int, str]
 
     # ------------------------------------------------------------------
     # Solve context
@@ -106,34 +99,15 @@ class SynthEngine(EngineHarness):
     # Main loop: one batched round per template, early-stop on a winner
     # ------------------------------------------------------------------
 
-    def _run(self) -> RepairOutcome:
-        config = self.config
-        start = time_mod.monotonic()
-        deadline = start + config.max_wall_seconds
-        if self.events:
-            self.events.emit(
-                TrialStarted(
-                    scenario=self.problem.name,
-                    seed=self.seed,
-                    backend=config.backend,
-                    workers=config.workers,
-                    population_size=config.population_size,
-                    max_generations=config.max_generations,
-                )
-            )
-        out_of_budget = self._budget_probe(deadline)
-
-        original = Patch.empty()
-        original_eval = self.evaluate(original)
-        original._fitness = original_eval.fitness  # type: ignore[attr-defined]
-        history = [original_eval.fitness]
-        logger.info(
-            "[%s] synth start: fitness=%.4f", self.problem.name, original_eval.fitness
-        )
-        if original_eval.is_plausible:
-            # Nothing to repair (shouldn't happen for real defect scenarios).
-            return self._finish(original, original_eval, 0, start, history)
-
+    def _search(
+        self,
+        original: Patch,
+        original_eval: Evaluation,
+        history: list[float],
+        out_of_budget: Callable[[], bool],
+    ) -> tuple[Patch | None, Patch, int]:
+        """Localize once, then score one batched round per template."""
+        self.operator_stats = {template.name: 0 for template in TEMPLATES}
         variant = self.variant_tree(original)
         faults = self.fault_localization(original, variant)
         ctx = self._solve_context(variant, faults)
@@ -184,34 +158,21 @@ class SynthEngine(EngineHarness):
                 "[%s] template %s: %d candidates, best=%.4f",
                 self.problem.name, template.name, len(candidates), best_fitness,
             )
+        self._solve = (rounds, total_candidates, winner_template)
+        return winner, best_patch, rounds
 
-        final_patch = winner if winner is not None else best_patch
-        final_eval = self.evaluate(final_patch)
-        if winner is not None:
-            if self.events:
-                self.events.emit(
-                    PlausiblePatchFound(
-                        generation=rounds,
-                        fitness=final_eval.fitness,
-                        edits=len(final_patch),
-                    )
-                )
-            logger.info(
-                "[%s] plausible repair via %s; minimizing",
-                self.problem.name, winner_template,
-            )
-            final_patch = self._minimize(final_patch)
-            final_eval = self.evaluate(final_patch)
+    def _search_completed(self, final_eval: Evaluation) -> None:
+        """Close the solve with its summary event (after minimization)."""
+        rounds, candidates, winner_template = self._solve
         if self.events:
             self.events.emit(
                 SynthSolveCompleted(
                     templates=rounds,
-                    candidates=total_candidates,
+                    candidates=candidates,
                     winner_template=winner_template,
                     plausible=final_eval.is_plausible,
                 )
             )
-        return self._finish(final_patch, final_eval, rounds, start, history)
 
 
 def synth_repair(
@@ -227,29 +188,15 @@ def synth_repair(
 
     The synth search is fully derandomized, so every seed in ``seeds``
     would replay the identical trial; exactly one trial runs, stamped
-    with ``seeds[0]``.  The multi-seed signature is kept so the runner
-    is drop-in interchangeable with :func:`repro.core.repair.repair`.
+    with ``seeds[0]``, through :func:`~repro.core.harness.run_trials`
+    (so an empty ``seeds`` raises ``ValueError`` as for every engine).
+    The multi-seed signature is kept so the runner is drop-in
+    interchangeable with :func:`repro.core.repair.repair`.
     """
-    config = config or RepairConfig()
-    if config.backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown evaluation backend {config.backend!r}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
-    if not seeds:
-        raise ValueError("synth_repair needs at least one seed")
-    events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
-    scope: contextlib.AbstractContextManager
-    if backend is None:
-        backend = make_backend(problem, config)
-        scope = backend  # backends are context managers; exit closes
-    else:
-        scope = contextlib.nullcontext()  # caller owns the backend
-    with scope:
-        return SynthEngine(
-            problem, config, seeds[0], backend=backend, observers=events,
-            cancel=cancel, checkpoint=checkpoint,
-        ).run()
+    return best_of(run_trials(
+        SynthEngine, problem, config, seeds[:1], backend=backend,
+        observers=observers, cancel=cancel, checkpoint=checkpoint,
+    ))
 
 
 __all__ = ["SynthEngine", "synth_repair"]

@@ -16,15 +16,14 @@ outcome); :func:`run_race` returns the full per-engine result for the
 
 from __future__ import annotations
 
-import contextlib
 import time as time_mod
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..core.backend import BACKEND_NAMES, EvaluationBackend, make_backend
+from ..core.backend import EvaluationBackend
 from ..core.config import RepairConfig
 from ..core.engines import get_engine
-from ..core.harness import RepairOutcome, RepairProblem
+from ..core.harness import RepairOutcome, RepairProblem, shared_backend
 from ..obs.observer import RepairObserver
 
 #: The engines a race pits against each other, in run order.
@@ -107,29 +106,19 @@ def run_race(
     """Run every engine in ``engines`` on ``problem`` and keep all legs.
 
     The engines run sequentially (deterministic event interleaving) and
-    share one evaluation backend; observers see each engine's full trial
-    telemetry back-to-back, in ``engines`` order.
+    share one evaluation backend (``backend``, or one built and closed by
+    :func:`~repro.core.harness.shared_backend`); observers see each
+    engine's full trial telemetry back-to-back, in ``engines`` order.
     """
     config = config or RepairConfig()
-    if config.backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown evaluation backend {config.backend!r}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
     runners = [(name, get_engine(name)) for name in engines]
-    scope: contextlib.AbstractContextManager
-    if backend is None:
-        backend = make_backend(problem, config)
-        scope = backend
-    else:
-        scope = contextlib.nullcontext()
     entries: list[RaceEntry] = []
-    with scope:
+    with shared_backend(problem, config, backend) as shared:
         for name, runner in runners:
             started = time_mod.monotonic()
             outcome = runner(
                 problem, config, seeds,
-                backend=backend, observers=observers, cancel=cancel,
+                backend=shared, observers=observers, cancel=cancel,
                 checkpoint=checkpoint,
             )
             entries.append(

@@ -25,7 +25,7 @@ from repro.core.backend import (
     ProcessPoolBackend,
     make_backend,
 )
-from repro.core.config import RepairConfig
+from repro.core.config import TEST_CONFIG, RepairConfig
 from repro.core.fitness import FitnessBreakdown
 from repro.core.harness import EngineHarness
 from repro.core.patch import Patch
@@ -175,6 +175,46 @@ class TestWarmDiskTier:
         warm = _run(config)
         assert store.info()["hits"] > hits_before
         assert _outcome_key(warm) == _outcome_key(cold)
+
+
+class TestHitsCostNoTime:
+    def _timed(self) -> CandidateResult:
+        return dataclasses.replace(
+            _success(), eval_seconds=0.5, parse_seconds=0.2, sim_seconds=0.3,
+            sim_events=7, sim_steps=9,
+        )
+
+    @staticmethod
+    def _wall(result: CandidateResult) -> tuple:
+        return (result.eval_seconds, result.parse_seconds, result.sim_seconds)
+
+    def test_every_hit_path_reports_zero_wall_time(self, tmp_path):
+        store = PersistentEvalCache(tmp_path / "store")
+        memo = EvalCache(store=store, context="ctx")
+        memo.put("a", self._timed())
+        for hit in (memo.get("a"), memo.lookup("a"), memo.recall("a")):
+            assert self._wall(hit) == (0.0, 0.0, 0.0)
+            assert (hit.sim_events, hit.sim_steps) == (7, 9)
+        # The disk tier keeps the measured times; its hits report 0 too.
+        from_disk = EvalCache(store=store, context="ctx").get("a")
+        assert self._wall(from_disk) == (0.0, 0.0, 0.0)
+        assert (from_disk.sim_events, from_disk.sim_steps) == (7, 9)
+
+    def test_repeated_trials_on_one_backend_spend_no_parse_time(self):
+        scenario = load_scenario("counter_reset")
+        problem = scenario.problem()
+        config = scenario.suggested_config(TEST_CONFIG)
+        with make_backend(problem, config) as backend:
+            engines = [
+                CirFixEngine(problem, config, 0, backend=backend) for _ in range(3)
+            ]
+            outcomes = [engine.run() for engine in engines]
+        assert len({_outcome_key(outcome) for outcome in outcomes}) == 1
+        first, *repeats = [engine.phase_seconds for engine in engines]
+        assert 0.0 < first["parse"] <= first["evaluation"]
+        # Trials 2 and 3 find every candidate in the memo (nothing refreshes).
+        assert all(outcome.simulations == outcome.eval_sims for outcome in outcomes)
+        assert [phases["parse"] for phases in repeats] == [0.0, 0.0]
 
 
 class TestInProcessPath:

@@ -82,7 +82,7 @@ class TestRoundTrip:
 
 class TestOutcomeReport:
     def test_report_fields(self):
-        from repro.core.repair import RepairOutcome
+        from repro.core.harness import RepairOutcome
 
         outcome = RepairOutcome(
             plausible=True,

@@ -13,7 +13,8 @@ import pytest
 from repro.benchsuite import load_scenario
 from repro.core.backend import EvalCache, SerialBackend, make_backend
 from repro.core.config import ConfigError, RepairConfig
-from repro.core.repair import CirFixEngine, adaptive_chunk_size
+from repro.core.harness import adaptive_chunk_size
+from repro.core.repair import CirFixEngine
 from repro.experiments.common import SMOKE
 
 
@@ -129,8 +130,12 @@ class TestSerialBackendCache:
         first = backend.evaluate_batch(texts)
         second = backend.evaluate_batch(texts)
         assert backend.cache.info()["hits"] == 1
-        # The replayed result is the recorded one — telemetry included.
-        assert second[0] is first[0]
+        # The replayed result is the recorded one, counters included; a
+        # hit spends no evaluation time, so its wall fields read 0.
+        assert first[0].eval_seconds > 0.0
+        assert second[0] == dataclasses.replace(
+            first[0], eval_seconds=0.0, parse_seconds=0.0, sim_seconds=0.0
+        )
 
 
 def _outcome_key(outcome):

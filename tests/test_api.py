@@ -5,7 +5,7 @@ test_public_api.py and tests/obs/."""
 import pytest
 
 from repro.api import build_problem, localize, repair_scenario, simulate
-from repro.core.repair import RepairProblem
+from repro.core.harness import RepairProblem
 
 DESIGN = """
 module counter(clk, rst, out);

@@ -15,7 +15,7 @@ import pytest
 from repro.api import repair_scenario, repair_verilog
 from repro.core import TEST_CONFIG
 from repro.core.oracle import ensure_instrumented, generate_oracle
-from repro.core.repair import RepairProblem
+from repro.core.harness import RepairProblem
 from repro.hdl import parse
 
 DESIGN = """
