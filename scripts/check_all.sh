@@ -410,6 +410,8 @@ python -m repro fuzz --seed 0 --count 25 --trace "$SMOKE_DIR/fuzz.jsonl" \
 grep -q "violations: 0" "$SMOKE_DIR/fuzz_summary.txt"
 # The engine-parity oracle must have raced interp vs compiled on every program.
 grep -q "engines=25" "$SMOKE_DIR/fuzz_summary.txt"
+# The round-trip oracle (which also checks the AST clone) ran on every program.
+grep -q "roundtrip=25" "$SMOKE_DIR/fuzz_summary.txt"
 python -m repro report "$SMOKE_DIR/fuzz.jsonl" > /dev/null
 
 echo "== minted smoke (scenario factory + cross-backend grading parity) =="

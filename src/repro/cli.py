@@ -584,8 +584,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_repair.add_argument(
         "--sim-engine", dest="sim_engine", choices=SIM_ENGINE_NAMES,
-        help="candidate simulation engine: 'interp' (tree-walking) or "
-        "'compiled' (AOT closure compiler; bit-identical, faster)",
+        help="candidate simulation engine: 'compiled' (AOT closure "
+        "compiler; the default) or 'interp' (tree-walking; bit-identical, "
+        "slower, the parity reference)",
     )
     p_repair.add_argument(
         "--profile", action="store_true",

@@ -108,11 +108,12 @@ class RepairConfig:
     #: ballooning candidate then raises ``MemoryError`` inside its
     #: worker instead of invoking the host's OOM killer.
     worker_mem_mb: int = 0
-    #: Simulation engine used for candidate evaluation: "interp" (the
-    #: tree-walking interpreter, the original behaviour) or "compiled"
-    #: (the ahead-of-time closure compiler in :mod:`repro.sim.compile`).
+    #: Simulation engine used for candidate evaluation: "compiled" (the
+    #: ahead-of-time closure compiler in :mod:`repro.sim.compile`, the
+    #: default) or "interp" (the tree-walking interpreter, the original
+    #: behaviour and the reference the parity checks compare against).
     #: Both produce bit-identical results; see ``docs/simulation.md``.
-    sim_engine: str = "interp"
+    sim_engine: str = "compiled"
     #: Root directory of the persistent evaluation-cache tier
     #: (:class:`repro.cache.PersistentEvalCache`).  Empty (the default)
     #: disables the disk tier; with it set, evaluation results are keyed

@@ -59,7 +59,7 @@ from .config import BACKEND_NAMES, RepairConfig
 from .faultloc import all_statement_ids, localize_faults
 from .fitness import FitnessBreakdown
 from .minimize import minimize_patch
-from .patch import Patch
+from .patch import Edit, Patch
 
 logger = logging.getLogger("repro.harness")
 
@@ -194,8 +194,11 @@ class EngineHarness:
     worker pool and its memo across trials, or leave it ``None`` to let
     the engine build (and own) the backend selected by ``config``.
     Evaluation results live in the backend's memo
-    (:class:`~repro.core.backend.EvalCache`); the trial itself keeps only
-    the set of candidate texts it has scored.
+    (:class:`~repro.core.backend.EvalCache`).  The trial itself keeps the
+    candidate texts it has scored, the text each edit list it evaluated
+    built (so a repeated edit list skips construction), and, within one
+    generation, each localized parent's variant tree and fault set (see
+    ``docs/repair_engine.md``, "Candidate construction").
     """
 
     #: Registry name stamped into checkpoint snapshots (subclasses set it).
@@ -242,10 +245,20 @@ class EngineHarness:
         #: close, so the trial can still look up what it scored.
         self._memo: EvalCache | None = backend.cache if backend is not None else None
         #: Candidate texts this trial has scored (``eval_sims`` counts
-        #: them), and the subset with no memo record because the lint gate
-        #: pruned them or the pool quarantined them (they score 0.0).
-        self._seen: set[str] = set()
+        #: them), each mapped to itself so other maps can hold the same
+        #: object, and the subset with no memo record because the lint
+        #: gate pruned them or the pool quarantined them (they score 0.0).
+        self._seen: dict[str, str] = {}
         self._unscored: set[str] = set()
+        #: Construction memo: the text each evaluated edit list built,
+        #: only once that text is in ``_seen`` (the very same object).
+        #: Equal edit lists build identical trees — an ``Edit`` is frozen,
+        #: its payload compares by identity, and fresh ids depend only on
+        #: the edit's position — so a known list skips apply and codegen.
+        self._built: dict[tuple[Edit, ...], str] = {}
+        #: The current generation's localized parents (see
+        #: :meth:`localized_variant`); cleared by every generation.
+        self._localized: dict[tuple[Edit, ...], tuple[ast.Source, set[int]]] = {}
         self.simulations = 0
         self.fitness_evals = 0
         #: Deterministic count of unique candidate evaluations.  Unlike
@@ -304,27 +317,53 @@ class EngineHarness:
     def evaluate(self, patch: Patch) -> Evaluation:
         """Codegen → memo → parse → simulate → fitness, in-process.
 
-        Reads and writes only the memory tier of the backend's memo, and
-        never starts a worker pool.
+        An edit list this trial already evaluated goes straight to its
+        recorded text (no apply, no codegen).  Reads and writes only the
+        memory tier of the backend's memo, and never starts a worker pool.
         """
         self.fitness_evals += 1
+        key = tuple(patch.edits)
+        built = self._built.get(key)
+        if built is not None:
+            return self._recall(built)
         try:
             tree = self.variant_tree(patch)
             design_text = generate(tree)
         except Exception:
             return Evaluation(0.0, None, None, False, "")
         if design_text in self._seen:
-            return self._recall(design_text)
-        if self._gate_rules:
-            added = self._gate_added(tree)
-            if added:
-                return self._prune(design_text, added)
-        memo = self._ensure_memo()
-        result = memo.lookup(design_text)
-        if result is None:
-            result = self._simulate(design_text)
-            memo.remember(design_text, result)
-        return self._scored(design_text, result)
+            evaluation = self._recall(design_text)
+        elif self._gate_rules and (added := self._gate_added(tree)):
+            evaluation = self._prune(design_text, added)
+        else:
+            memo = self._ensure_memo()
+            result = memo.lookup(design_text)
+            if result is None:
+                result = self._simulate(design_text)
+                memo.remember(design_text, result)
+            evaluation = self._scored(design_text, result)
+        self._built[key] = self._seen[design_text]
+        return evaluation
+
+    def localized_variant(self, parent: Patch) -> tuple[ast.Source, set[int]]:
+        """``parent``'s variant tree and fault set (Algorithm 2).
+
+        Computed once per distinct edit list per generation: every
+        :meth:`_evaluate_generation` clears them, so at most one tree per
+        parent is held.  A repeat re-reads the parent's evaluation (a
+        construction-memo hit), so ``fitness_evals`` ticks and the memo's
+        trace recency moves as before, but the tree is not rebuilt and the
+        parent not re-localized.  Callers only read the tree and the set.
+        """
+        key = tuple(parent.edits)
+        localized = self._localized.get(key)
+        if localized is not None:
+            self.evaluate(parent)
+            return localized
+        variant = self.variant_tree(parent)
+        localized = (variant, self.fault_localization(parent, variant))
+        self._localized[key] = localized
+        return localized
 
     # ------------------------------------------------------------------
     # Lint gate (docs/lint.md)
@@ -358,7 +397,7 @@ class EngineHarness:
         same 0.0 without another lint pass; ``eval_sims`` never ticks —
         pruning is free simulation budget.
         """
-        self._seen.add(design_text)
+        self._seen[design_text] = design_text
         self._unscored.add(design_text)
         self.candidates_pruned += 1
         for code in added:
@@ -392,7 +431,7 @@ class EngineHarness:
 
     def _scored(self, design_text: str, result: CandidateResult) -> Evaluation:
         """Account for one unique candidate, computed or replayed."""
-        self._seen.add(design_text)
+        self._seen[design_text] = design_text
         self.simulations += 1
         self.eval_sims += 1
         if result.failure is not None:
@@ -476,28 +515,40 @@ class EngineHarness:
         them when the search is about to terminate anyway.  The chunk
         schedule is independent of the backend and worker count, which is
         what makes outcomes bit-identical across backends.
+
+        Each distinct edit list is built at most once: lists the trial
+        already evaluated, or met earlier in this batch, reuse their text.
+        A generation boundary also ends the previous reproduction phase,
+        so the localized parents are dropped here.
         """
+        self._localized.clear()
         results: list[Evaluation | None] = [None] * len(patches)
         pending: list[str] = []
         indices_for_text: dict[str, list[int]] = {}
+        # Texts of the edit lists first built in this batch.
+        fresh: dict[tuple[Edit, ...], str] = {}
         for i, patch in enumerate(patches):
             self.fitness_evals += 1
-            try:
-                tree = self.variant_tree(patch)
-                text = generate(tree)
-            except Exception:
-                results[i] = Evaluation(0.0, None, None, False, "")
-                continue
+            key = tuple(patch.edits)
+            text = self._built.get(key) or fresh.get(key)
+            if text is None:
+                try:
+                    tree = self.variant_tree(patch)
+                    text = generate(tree)
+                except Exception:
+                    results[i] = Evaluation(0.0, None, None, False, "")
+                    continue
+                fresh[key] = text
+                if text not in self._seen and self._gate_rules:
+                    added = self._gate_added(tree)
+                    if added:
+                        # Pruned engine-side before chunking, so the prune
+                        # schedule (and its events) is backend-independent.
+                        results[i] = self._prune(text, added)
+                        continue
             if text in self._seen:
                 results[i] = self._recall(text)
                 continue
-            if self._gate_rules:
-                added = self._gate_added(tree)
-                if added:
-                    # Pruned engine-side before chunking, so the prune
-                    # schedule (and its events) is backend-independent.
-                    results[i] = self._prune(text, added)
-                    continue
             slots = indices_for_text.setdefault(text, [])
             if not slots:
                 pending.append(text)
@@ -535,6 +586,9 @@ class EngineHarness:
                     results[index] = evaluation
                 if evaluation.fitness >= 1.0:
                     found_winner = True
+        for key, text in fresh.items():
+            if text in self._seen:  # not when an early stop left it unscored
+                self._built[key] = self._seen[text]
         return results
 
     def _note_incidents(self, chunk_id: int, backend: EvaluationBackend) -> None:

@@ -20,6 +20,7 @@ Stability rules that make genetic search work:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ..hdl import ast
@@ -27,6 +28,11 @@ from ..hdl.node_ids import max_node_id, number_nodes
 
 #: Gap between fresh-id blocks so edits cannot collide.
 _ID_BLOCK = 10_000
+
+#: ``max_node_id`` of every base tree patches were applied to, computed
+#: once per base.  A base is never edited (:meth:`Patch.apply` edits a
+#: clone), so its largest id is fixed; the entry dies with the tree.
+_BASE_MAX_IDS: "weakref.WeakKeyDictionary[ast.Source, int]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,9 @@ class Patch:
         from .templates import apply_template  # local import to avoid cycle
 
         tree = base.clone()
-        base_max = max_node_id(base)
+        base_max = _BASE_MAX_IDS.get(base)
+        if base_max is None:
+            base_max = _BASE_MAX_IDS[base] = max_node_id(base)
         for position, edit in enumerate(self.edits):
             fresh_start = base_max + (position + 1) * _ID_BLOCK
             target = tree.find(edit.target_id)

@@ -5,14 +5,17 @@ Genetic-programming search over repair patches:
 1. seed a population of empty patches (copies of the faulty design);
 2. each reproduction step selects a parent by tournament, re-runs fault
    localization on *that parent's* own simulation trace (the paper
-   re-localizes per variant to support dependent multi-edit repairs), and
-   produces children via a repair template (probability ``rtThreshold``),
+   re-localizes per variant to support dependent multi-edit repairs; the
+   answer depends on the parent alone, so a parent that wins several
+   tournaments in one generation is localized once), and produces
+   children via a repair template (probability ``rtThreshold``),
    mutation (``mutThreshold``), or single-point crossover;
 3. stop when a candidate reaches fitness 1.0 (plausible repair) or
    resources run out; minimize the winning patch with delta debugging.
 
-Every candidate evaluation regenerates Verilog source from the patched AST,
-reparses the design, splices in the pre-parsed testbench, elaborates, and
+Every new candidate evaluation regenerates Verilog source from the patched
+AST (an edit list the trial already built reuses its text), reparses the
+design, splices in the pre-parsed testbench, elaborates, and
 simulates — mirroring the original pipeline (PyVerilog codegen → VCS
 simulation), with our own frontend and simulator standing in for both.
 
@@ -116,8 +119,7 @@ class CirFixEngine(EngineHarness):
         # Children are generated first, then the whole batch is scored
         # through the backend in child-index order.
         population: list[Patch] = [original]
-        seed_variant = self.variant_tree(original)
-        seed_faults = self.fault_localization(original, seed_variant)
+        seed_variant, seed_faults = self.localized_variant(original)
         seedlings: list[Patch] = []
         while len(population) + len(seedlings) < config.population_size and not out_of_budget():
             if self.rng.random() <= config.rt_threshold:
@@ -167,8 +169,7 @@ class CirFixEngine(EngineHarness):
                 parent = tournament_select(
                     population, fitness_of, self.rng, config.tournament_size
                 )
-                variant = self.variant_tree(parent)
-                fault_ids = self.fault_localization(parent, variant)
+                variant, fault_ids = self.localized_variant(parent)
                 if self.rng.random() <= config.rt_threshold:
                     self.operator_stats["template"] += 1
                     child = apply_fix_pattern(

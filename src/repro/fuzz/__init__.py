@@ -5,7 +5,8 @@ Verilog-2001 generator (constrained to the :mod:`repro.hdl` subset)
 feeds a battery of differential/metamorphic oracles —
 
 - **roundtrip**: parse → codegen → re-parse is a numbered structural
-  fixpoint (:func:`check_roundtrip`);
+  fixpoint, and the parsed tree's clone is an exact, unaliased copy
+  (:func:`check_roundtrip`);
 - **lint**: static analysis never raises on a parseable program and
   renders byte-stable reports (:func:`check_lint`);
 - **determinism**: simulation is bit-identical run-to-run and the

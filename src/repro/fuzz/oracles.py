@@ -6,7 +6,9 @@ the property holds.  The oracle battery (ISSUE 3):
 
 ``roundtrip``
     parse → codegen → re-parse is a structural fixpoint with stable
-    preorder node numbering.
+    preorder node numbering, and :meth:`~repro.hdl.ast.Node.clone` of
+    the parsed tree is an exact, unaliased copy (same ids, same
+    generated text, no shared node or list).
 ``lint``
     static analysis (:mod:`repro.lint`) never raises on a parseable
     program and renders byte-identical reports across runs — the
@@ -125,6 +127,44 @@ def check_roundtrip(text: str, reference: ast.Source | None = None) -> list[Viol
             return [Violation("roundtrip", "codegen not a fixpoint")]
     except Exception as exc:
         return [Violation("roundtrip", f"second codegen failed: {exc}")]
+    return _check_clone(first, regenerated)
+
+
+def _mutable_parts(root: ast.Node) -> dict[int, object]:
+    """Every node and every list value reachable from ``root``, by id."""
+    parts: dict[int, object] = {}
+    for node in root.walk():
+        parts[id(node)] = node
+        for name in node._fields + node._attrs:
+            value = getattr(node, name)
+            if isinstance(value, list):
+                parts[id(value)] = value
+    return parts
+
+
+def _check_clone(tree: ast.Source, text: str) -> list[Violation]:
+    """``tree.clone()`` must equal ``tree`` (ids included), generate
+    ``text`` byte for byte, and share no node or list with ``tree`` —
+    the copy every :meth:`~repro.core.patch.Patch.apply` edits."""
+    twin = tree.clone()
+    diff = structural_diff(tree, twin, compare_ids=True)
+    if diff is not None:
+        return [Violation("roundtrip", f"clone differs at {diff}")]
+    try:
+        if generate(twin) != text:
+            return [Violation("roundtrip", "clone generates different text")]
+    except Exception as exc:
+        return [Violation("roundtrip", f"clone codegen failed: {exc}")]
+    original = _mutable_parts(tree)
+    shared = [part for key, part in _mutable_parts(twin).items() if key in original]
+    if shared:
+        return [
+            Violation(
+                "roundtrip",
+                f"clone shares {len(shared)} object(s) with the original, "
+                f"first a {type(shared[0]).__name__}",
+            )
+        ]
     return []
 
 

@@ -8,13 +8,18 @@ CirFix patch representation.
 
 Field conventions: each node class declares ``_fields``, a tuple of attribute
 names.  An attribute value is a :class:`Node`, a ``list`` of nodes, or a
-plain Python value (``str``/``int``/``None``).  Generic machinery inspects
-values at runtime, so adding a node class only requires declaring its fields.
+plain Python value (``str``/``int``/``None``).  Semantic state that is not a
+child slot goes in ``_attrs``; its values are plain values or lists of them.
+Generic machinery inspects values at runtime, so adding a node class only
+requires declaring its fields.  All mutable node state must live in
+``_fields``/``_attrs``: :meth:`Node.clone` copies only those deeply, and
+shares every other attribute (which must therefore be immutable, like
+``node_id``, ``line`` or :class:`RealNumber`'s float ``value``) with the
+original.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Iterator
 
 
@@ -65,8 +70,29 @@ class Node:
         return None
 
     def clone(self) -> "Node":
-        """Deep-copy this subtree, preserving node ids."""
-        return copy.deepcopy(self)
+        """Deep-copy this subtree, preserving node ids and source lines.
+
+        Copies the instance dict, then recurses through ``_fields`` (a
+        node, or a list of nodes) and copies the list values of
+        ``_attrs`` (such as :attr:`ModuleDef.port_names`), so the clone
+        shares no node and no list with the original.
+        """
+        state = dict(self.__dict__)
+        for name in self._fields:
+            value = state[name]
+            if isinstance(value, Node):
+                state[name] = value.clone()
+            elif isinstance(value, list):
+                state[name] = [
+                    item.clone() if isinstance(item, Node) else item for item in value
+                ]
+        for name in self._attrs:
+            value = state[name]
+            if isinstance(value, list):
+                state[name] = list(value)
+        twin = object.__new__(type(self))
+        twin.__dict__ = state
+        return twin
 
     def replace(self, node_id: int, replacement: "Node | None") -> bool:
         """Replace the descendant with ``node_id`` by ``replacement``.

@@ -108,8 +108,7 @@ class SynthEngine(EngineHarness):
     ) -> tuple[Patch | None, Patch, int]:
         """Localize once, then score one batched round per template."""
         self.operator_stats = {template.name: 0 for template in TEMPLATES}
-        variant = self.variant_tree(original)
-        faults = self.fault_localization(original, variant)
+        variant, faults = self.localized_variant(original)
         ctx = self._solve_context(variant, faults)
 
         best_patch, best_fitness = original, original_eval.fitness

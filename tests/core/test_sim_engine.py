@@ -20,8 +20,8 @@ from repro.experiments.common import SMOKE
 
 class TestConfig:
     def test_sim_engine_default_and_choices(self):
-        assert RepairConfig().sim_engine == "interp"
-        assert RepairConfig(sim_engine="compiled").sim_engine == "compiled"
+        assert RepairConfig().sim_engine == "compiled"
+        assert RepairConfig(sim_engine="interp").sim_engine == "interp"
 
     def test_sim_engine_rejects_unknown(self):
         with pytest.raises(ConfigError, match="sim_engine"):

@@ -1,6 +1,9 @@
 """AST structural-operation tests (walk / find / replace / insert / clone)."""
 
-from repro.hdl import ast, parse
+import pytest
+
+from repro.benchsuite import PROJECT_NAMES, load_project
+from repro.hdl import ast, generate, parse, structural_diff
 from repro.hdl.node_ids import clear_ids, max_node_id, number_nodes
 
 SRC = """
@@ -104,6 +107,12 @@ class TestCloneAndParents:
         # The original is untouched.
         assert any(isinstance(n, ast.NonBlockingAssign) for n in t.walk())
 
+    def test_clone_copies_attr_lists(self):
+        t = parse("module m(a, b); input a; output b; endmodule")
+        c = t.clone()
+        c.modules[0].port_names.append("x")
+        assert t.modules[0].port_names == ["a", "b"]
+
     def test_parent_map(self):
         t = tree()
         parents = t.parent_map()
@@ -117,3 +126,37 @@ class TestCloneAndParents:
         assert mod.find_decl("q") is not None
         assert mod.find_decl("nope") is None
         assert t.module("zzz") is None
+
+
+def _mutable_parts(root):
+    """Ids of every node and every list value reachable from ``root``."""
+    parts = set()
+    for node in root.walk():
+        parts.add(id(node))
+        for name in node._fields + node._attrs:
+            if isinstance(getattr(node, name), list):
+                parts.add(id(getattr(node, name)))
+    return parts
+
+
+@pytest.mark.parametrize("name", PROJECT_NAMES)
+def test_clone_of_benchsuite_design_is_exact_and_unaliased(name):
+    tree = parse(load_project(name).design_text)
+    twin = tree.clone()
+    assert structural_diff(tree, twin, compare_ids=True) is None
+    assert generate(twin) == generate(tree)
+    pairs = list(zip(tree.walk(), twin.walk(), strict=True))
+    assert all(type(a) is type(b) for a, b in pairs)
+    assert any(a.line for a, _ in pairs)
+    assert [a.line for a, _ in pairs] == [b.line for _, b in pairs]
+    numbers = [(a, b) for a, b in pairs if isinstance(a, ast.Number)]
+    assert numbers
+    for a, b in numbers:
+        assert (a.text, a.width, a.aval, a.bval, a.signed) == (
+            b.text, b.width, b.aval, b.bval, b.signed
+        )
+    for a, b in pairs:
+        if isinstance(a, ast.ModuleDef):
+            assert b.port_names == a.port_names
+            assert b.port_names is not a.port_names
+    assert not _mutable_parts(tree) & _mutable_parts(twin)
